@@ -13,8 +13,6 @@
  *   --full                paper-scale: FHD, 25 frames, whole suite
  *   --csv                 emit CSV instead of aligned tables
  *   --jobs N              parallel simulations (default: all cores)
- *   --sim-threads N       event-queue shards threads per simulation
- *                         (0 = sequential engine; see DESIGN.md §8)
  *   --outdir DIR          where image/trace artifacts go (bench_out/)
  *   --report-out FILE     machine-readable RunReport JSON for the sweep
  *   --trace-out FILE      chrome-trace timeline (job 0 exact path,
@@ -77,7 +75,6 @@
 #include "farm/farm_server.hh"
 #include "gpu/policy_registry.hh"
 #include "gpu/runner.hh"
-#include "sim/sim_thread_pool.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_journal.hh"
 #include "trace/json.hh"
@@ -98,8 +95,6 @@ struct BenchOptions
     bool csv = false;
     bool full = false;
     unsigned jobs = 0; //!< parallel simulations; 0 = hardware threads
-    std::uint32_t simThreads = 0; //!< per-sim event shards threads
-                                  //!< (0 = sequential engine)
     std::string outdir = "bench_out"; //!< image/trace artifacts
     std::string reportOut; //!< RunReport JSON path ("" = don't write)
     std::string traceOut;  //!< chrome-trace path ("" = don't record)
@@ -134,16 +129,14 @@ defaultComputeSubset()
     return {"GDL", "CrS", "ArK", "MiN", "PoG", "ZuM"};
 }
 
-inline BenchOptions
-parseBenchOptions(int argc, char **argv,
-                  std::vector<std::string> default_benchmarks,
-                  std::vector<std::string> full_benchmarks,
-                  const std::vector<std::string> &extra_options = {})
+/** Every option parseBenchOptions() accepts, plus @p extra_options. */
+inline std::vector<std::string>
+benchOptionNames(const std::vector<std::string> &extra_options = {})
 {
     std::vector<std::string> known{
         "frames", "width", "height", "benchmarks", "full", "csv",
         "policy",
-        "jobs", "sim-threads", "outdir", "report-out", "trace-out",
+        "jobs", "outdir", "report-out", "trace-out",
         // failure policy
         "deadline-ms", "retries", "backoff-ms", "quarantine",
         "journal", "resume", "keep-going", "faults",
@@ -155,7 +148,16 @@ parseBenchOptions(int argc, char **argv,
         "max-queue", "client-quota", "cache-max-entries"};
     known.insert(known.end(), extra_options.begin(),
                  extra_options.end());
-    const CliArgs args(argc, argv, known);
+    return known;
+}
+
+inline BenchOptions
+parseBenchOptions(int argc, char **argv,
+                  std::vector<std::string> default_benchmarks,
+                  std::vector<std::string> full_benchmarks,
+                  const std::vector<std::string> &extra_options = {})
+{
+    const CliArgs args(argc, argv, benchOptionNames(extra_options));
 
     if (args.getBool("serve")) {
         // One-shot farm mode: this process becomes a resident sweep
@@ -215,19 +217,6 @@ parseBenchOptions(int argc, char **argv,
         "jobs", std::max(1u, std::thread::hardware_concurrency())));
     if (opt.jobs == 0)
         fatal("--jobs must be at least 1");
-    opt.simThreads =
-        static_cast<std::uint32_t>(args.getUint("sim-threads", 0));
-    // Two-level oversubscription guard: jobs sweep workers each
-    // running simThreads event lanes must not exceed the machine.
-    const std::uint32_t clamped = clampOversubscribedJobs(
-        static_cast<std::uint32_t>(opt.jobs), opt.simThreads,
-        std::thread::hardware_concurrency());
-    if (clamped != opt.jobs) {
-        warn("--jobs ", opt.jobs, " x --sim-threads ", opt.simThreads,
-             " oversubscribes ", std::thread::hardware_concurrency(),
-             " hardware threads; clamping --jobs to ", clamped);
-        opt.jobs = clamped;
-    }
     opt.outdir = args.get("outdir", opt.outdir);
     opt.reportOut = args.get("report-out", "");
     opt.traceOut = args.get("trace-out", "");
@@ -273,14 +262,12 @@ outPath(const BenchOptions &opt, const std::string &filename)
     return (std::filesystem::path(opt.outdir) / filename).string();
 }
 
-/** Apply the bench's screen size, simulation engine and --policy
- *  override to a config. */
+/** Apply the bench's screen size and --policy override to a config. */
 inline GpuConfig
 sized(GpuConfig cfg, const BenchOptions &opt)
 {
     cfg.screenWidth = opt.width;
     cfg.screenHeight = opt.height;
-    cfg.simThreads = opt.simThreads;
     if (!opt.policy.empty()) {
         if (Status st = applyPolicy(cfg, opt.policy); !st.isOk())
             fatal("--policy: ", st.toString());

@@ -10,11 +10,6 @@
  *   libra, adaptation pinned to S  == staticSupertile(S)
  *   staticSupertile(1)             == ptr (plain Z-order)
  *
- * With --sim-threads N (N >= 1), every pair runs under the sharded
- * engine and the matrix additionally pins the engine's determinism
- * contract: each machine shape at 1 simulation thread must be
- * counter-identical to itself at N threads.
- *
  * With --policies 1, it runs the policy-extraction matrix instead:
  * every entry of the policy registry, applied by name to a base config
  * whose Libra-only adaptive knobs are deliberately perturbed, must be
@@ -33,8 +28,7 @@
  * snapshot restore contract (DESIGN.md §10) on each: rendering the
  * first F frames, snapshotting, and forking a fresh run from the
  * restored state must produce a full counter dump identical to the
- * uninterrupted cold run. --sim-threads N exercises the sharded
- * engine's restore path the same way.
+ * uninterrupted cold run.
  *
  * Exits non-zero on the first mismatch or violation, so CI can gate on
  * it directly.
@@ -127,7 +121,7 @@ runEquivalenceMatrix(const BenchOptions &opt)
         GpuConfig right;
         std::size_t hLeft = 0, hRight = 0;
     };
-    // Configs are finalized here (screen size, invariants, engine);
+    // Configs are finalized here (screen size, invariants);
     // add() below submits them verbatim.
     std::vector<Pair> pairs;
     pairs.push_back({"ptr(1,8) == baseline(8)",
@@ -143,35 +137,6 @@ runEquivalenceMatrix(const BenchOptions &opt)
     pairs.push_back({"staticSupertile(1) == z-order ptr(2,4)",
                      checked(GpuConfig::staticSupertile(1, 2, 4), opt),
                      checked(GpuConfig::ptr(2, 4), opt)});
-
-    // Sharded-engine determinism: the same machine must be
-    // counter-identical at 1 and N simulation threads. (The sequential
-    // engine is a different timing reference — cross-shard traffic pays
-    // the lookahead — so seq == sharded is deliberately not a pair.)
-    if (opt.simThreads > 0) {
-        const auto at = [](GpuConfig cfg, std::uint32_t threads) {
-            cfg.simThreads = threads;
-            return cfg;
-        };
-        struct Shape
-        {
-            const char *name;
-            GpuConfig cfg;
-        };
-        const Shape shapes[] = {
-            {"ptr(2,4)", GpuConfig::ptr(2, 4)},
-            {"libra(2,4)", GpuConfig::libra(2, 4)},
-            {"staticSupertile(2,2,4)",
-             GpuConfig::staticSupertile(2, 2, 4)},
-        };
-        for (const Shape &s : shapes) {
-            pairs.push_back({std::string(s.name) + " @1 thread == @"
-                                 + std::to_string(opt.simThreads)
-                                 + " threads",
-                             at(checked(s.cfg, opt), 1),
-                             at(checked(s.cfg, opt), opt.simThreads)});
-        }
-    }
 
     int failures = 0;
     for (const auto &name : opt.benchmarks) {
@@ -314,9 +279,8 @@ runFuzz(const BenchOptions &opt, std::uint32_t count,
         // summary on stderr carries the violation message.
         Sweep sweep(opt);
         for (std::uint32_t i = 0; i < count; ++i) {
-            GpuConfig cfg = fuzzGpuConfig(rng, opt.width, opt.height);
-            cfg.simThreads = opt.simThreads;
-            sweep.add(spec, cfg, opt.frames);
+            sweep.add(spec, fuzzGpuConfig(rng, opt.width, opt.height),
+                      opt.frames);
         }
         sweep.run();
         if (sweep.exitCode() != 0)
@@ -338,11 +302,7 @@ runCheckpointFuzz(const BenchOptions &opt, std::uint32_t count,
                   std::uint64_t seed)
 {
     banner("Checkpoint fuzz: " + std::to_string(count)
-           + " fork-vs-cold triples, seed " + std::to_string(seed)
-           + (opt.simThreads > 0
-                  ? ", " + std::to_string(opt.simThreads)
-                        + " sim threads"
-                  : ", sequential engine"));
+           + " fork-vs-cold triples, seed " + std::to_string(seed));
 
     Rng rng(seed);
     SceneCache scenes;
@@ -353,8 +313,7 @@ runCheckpointFuzz(const BenchOptions &opt, std::uint32_t count,
         const std::string &name =
             opt.benchmarks[rng.below(opt.benchmarks.size())];
         const BenchmarkSpec &spec = findBenchmark(name);
-        GpuConfig cfg = fuzzGpuConfig(rng, opt.width, opt.height);
-        cfg.simThreads = opt.simThreads;
+        const GpuConfig cfg = fuzzGpuConfig(rng, opt.width, opt.height);
         const auto ckpt = static_cast<std::uint32_t>(
             rng.range(1, static_cast<std::int64_t>(opt.frames) - 1));
         const std::string label = "triple " + std::to_string(i) + " ["
@@ -424,31 +383,22 @@ runCheckpointFuzz(const BenchOptions &opt, std::uint32_t count,
 int
 main(int argc, char **argv)
 {
+    const std::vector<std::string> own_options{"fuzz", "checkpoint-fuzz",
+                                               "seed", "policies"};
     const BenchOptions opt = parseBenchOptions(
-        argc, argv, {"CCS", "SuS"}, defaultMemorySubset(),
-        {"fuzz", "checkpoint-fuzz", "seed", "policies"});
-    const CliArgs args(argc, argv,
-                       {"frames", "width", "height", "benchmarks",
-                        "full", "csv", "jobs", "outdir", "report-out",
-                        "trace-out", "deadline-ms", "retries",
-                        "backoff-ms", "quarantine", "journal", "resume",
-                        "keep-going", "faults", "fuzz",
-                        "checkpoint-fuzz", "seed", "policies",
-                        "policy", "sim-threads",
-                        "checkpoint-dir", "checkpoint-every",
-                        "from-checkpoint", "warm-prefix"});
+        argc, argv, {"CCS", "SuS"}, defaultMemorySubset(), own_options);
+    const CliArgs args(argc, argv, benchOptionNames(own_options));
 
-    const auto seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 2024));
+    const std::uint64_t seed = args.getUint("seed", 2024);
     const auto fuzz =
-        static_cast<std::uint32_t>(args.getInt("fuzz", 0));
+        static_cast<std::uint32_t>(args.getUint("fuzz", 0));
     const auto ckpt_fuzz =
-        static_cast<std::uint32_t>(args.getInt("checkpoint-fuzz", 0));
+        static_cast<std::uint32_t>(args.getUint("checkpoint-fuzz", 0));
     if (fuzz > 0)
         return runFuzz(opt, fuzz, seed);
     if (ckpt_fuzz > 0)
         return runCheckpointFuzz(opt, ckpt_fuzz, seed);
-    if (args.getInt("policies", 0) > 0)
+    if (args.getUint("policies", 0) > 0)
         return runPolicyMatrix(opt);
     return runEquivalenceMatrix(opt);
 }

@@ -14,7 +14,7 @@
  * Client (default mode):
  *   libra_farm --socket farm.sock --benchmark CCS                  \
  *              [--width W --height H --frames N --first-frame F]   \
- *              [--config SPEC] [--sim-threads N] [--figure TAG]    \
+ *              [--config SPEC] [--figure TAG]                      \
  *              [--id TAG] [--out report.json]                      \
  *              [--op simulate|ping|stats|shutdown]                 \
  *              [--expect-cache hit|miss|coalesced]
@@ -44,7 +44,7 @@ main(int argc, char **argv)
         "retries", "backoff-ms", "quarantine",
         // client mode
         "op", "benchmark", "width", "height", "frames", "first-frame",
-        "config", "sim-threads", "figure", "id", "out", "expect-cache"};
+        "config", "figure", "id", "out", "expect-cache"};
     const CliArgs args(argc, argv, known);
 
     if (args.getBool("serve")) {
@@ -82,8 +82,6 @@ main(int argc, char **argv)
         req.firstFrame = static_cast<std::uint32_t>(
             args.getUint("first-frame", req.firstFrame));
         req.config = args.get("config", req.config);
-        req.simThreads = static_cast<std::uint32_t>(
-            args.getUint("sim-threads", 0));
         req.figure = args.get("figure", "");
     }
 

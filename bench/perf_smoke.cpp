@@ -3,25 +3,15 @@
  * Perf-regression smoke test: a fixed, pinned workload whose numbers
  * are comparable across commits.
  *
- * Three measurements:
+ * Four measurements:
  *   - event-loop hot path: one Gpu instance renders a pinned scene and
  *     we report simulator events per wall-clock second (no trace sink
  *     attached — this is the number regressions are judged against);
  *   - the same workload with a TraceSink attached, to quantify the
  *     cost of event recording (events_per_sec_traced);
  *   - sweep throughput: the same jobs pushed through SweepRunner, to
- *     catch regressions in the parallel harness itself;
- *   - parallel engine: a 4-RU machine under the sharded engine at 1
- *     and 4 simulation threads (events_per_sec_parallel and
- *     parallel_speedup). The two runs must execute identical event
- *     counts — the engine's determinism contract — and the speedup is
- *     gated against the baseline, but only when both the baseline host
- *     and this host have at least sim_threads CPUs (a 1-core CI runner
- *     can't measure parallelism). A skipped gate is never silent: the
- *     skip and its reason are printed AND recorded in the results file
- *     (parallel_gate_skipped / parallel_gate_skip_reason), so a CI
- *     history where the gate quietly stopped gating is visible in the
- *     archived JSON;
+ *     catch regressions in the parallel harness itself (host_cpus is
+ *     recorded next to it: the sweep figure scales with the host);
  *   - warm-prefix forking: a fig19-style threshold sweep (four LIBRA
  *     configs differing only in sched.resizeThreshold) run cold and
  *     then with --warm-prefix-style forking (CheckpointPolicy
@@ -87,10 +77,6 @@ namespace
 constexpr const char *kBenchmark = "CCS";
 constexpr std::uint32_t kWidth = 960;
 constexpr std::uint32_t kHeight = 544;
-
-/** Pinned parallel-engine measurement: a 4-RU machine so the sharded
- *  engine has four shards to spread over kSimThreads lanes. */
-constexpr std::uint32_t kSimThreads = 4;
 
 double
 seconds(std::chrono::steady_clock::duration d)
@@ -198,12 +184,12 @@ main(int argc, char **argv)
                         "trace-out", "warmup", "repeat", "baseline",
                         "tolerance"});
     const auto frames =
-        static_cast<std::uint32_t>(args.getInt("frames", 4));
-    const auto jobs = static_cast<unsigned>(args.getInt("jobs", 2));
+        static_cast<std::uint32_t>(args.getUint("frames", 4));
+    const auto jobs = static_cast<unsigned>(args.getUint("jobs", 2));
     const auto warmup =
-        static_cast<unsigned>(args.getInt("warmup", 1));
+        static_cast<unsigned>(args.getUint("warmup", 1));
     const auto repeat =
-        static_cast<unsigned>(args.getInt("repeat", 3));
+        static_cast<unsigned>(args.getUint("repeat", 3));
     const double tolerance = args.getDouble("tolerance", 10.0);
     const std::string out = args.get("out", "BENCH_sweep.json");
     const std::string baseline_path = args.get("baseline", "");
@@ -303,51 +289,7 @@ main(int argc, char **argv)
         return s;
     });
 
-    // --- Parallel engine: 4-RU machine, 1 vs kSimThreads lanes. ------
-    GpuConfig cfg_par = GpuConfig::libra(4, 4);
-    cfg_par.screenWidth = kWidth;
-    cfg_par.screenHeight = kHeight;
-
-    std::uint64_t events_parallel = 0;
-    const auto run_parallel = [&](std::uint32_t threads) {
-        GpuConfig c = cfg_par;
-        c.simThreads = threads;
-        Gpu gpu(c);
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::uint32_t f = 0; f < frames; ++f)
-            gpu.renderFrame(scene.frame(f), scene.textures());
-        const double s =
-            seconds(std::chrono::steady_clock::now() - t0);
-        const std::uint64_t e = gpu.eventsExecuted();
-        // The sharded engine's determinism contract: the event count
-        // is a pure function of the config, never of the lane count.
-        libra_assert(events_parallel == 0 || events_parallel == e,
-                     "sharded engine event count varies with threads");
-        events_parallel = e;
-        return s;
-    };
-    const Stats par1 = measure(warmup, repeat,
-                               [&] { return run_parallel(1); });
-    const Stats parN = measure(warmup, repeat,
-                               [&] { return run_parallel(kSimThreads); });
-    const double events_per_sec_parallel = parN.median > 0.0
-        ? static_cast<double>(events_parallel) / parN.median
-        : 0.0;
-    const double parallel_speedup =
-        parN.median > 0.0 ? par1.median / parN.median : 0.0;
     const std::uint32_t host_cpus = std::thread::hardware_concurrency();
-
-    // This host's side of the parallel-speedup gate, decided (and
-    // recorded) whether or not --baseline was given: a skipped gate
-    // that leaves no trace in the archived JSON looks identical to a
-    // passing one when trending CI history.
-    std::string parallel_gate_skip_reason;
-    if (host_cpus < kSimThreads) {
-        std::ostringstream reason;
-        reason << "host_cpus " << host_cpus << " < sim_threads "
-               << kSimThreads;
-        parallel_gate_skip_reason = reason.str();
-    }
 
     // --- Warm-prefix forking: fig19-style threshold sweep. -----------
     // Four LIBRA configs differing only in the supertile resize
@@ -414,17 +356,9 @@ main(int argc, char **argv)
                 traced_stats.median, traced_stats.mad,
                 events_per_sec_traced, traced.trace->eventCount());
     std::printf("  sweep      : %zu jobs, %u worker(s), median %.3f s "
-                "(MAD %.3f)\n",
-                n_jobs, runner.workers(), sweep.median, sweep.mad);
-    std::printf("  parallel   : %llu events, 1 thread %.3f s, "
-                "%u threads %.3f s (MAD %.3f) — %.2fx, %.3g events/s "
-                "(%u host cpus)\n",
-                static_cast<unsigned long long>(events_parallel),
-                par1.median, kSimThreads, parN.median, parN.mad,
-                parallel_speedup, events_per_sec_parallel, host_cpus);
-    if (!parallel_gate_skip_reason.empty())
-        std::printf("  parallel gate SKIPPED: %s\n",
-                    parallel_gate_skip_reason.c_str());
+                "(MAD %.3f)  (%u host cpus)\n",
+                n_jobs, runner.workers(), sweep.median, sweep.mad,
+                host_cpus);
     std::printf("  warm prefix: cold %.3f s, warm %.3f s (MAD %.3f) — "
                 "%llu fork(s), %.1f%% faster\n",
                 sweep_cold.median, sweep_warm.median, sweep_warm.mad,
@@ -471,17 +405,7 @@ main(int argc, char **argv)
                  "  \"sweep_workers\": %u,\n"
                  "  \"sweep_wall_time_s\": %.6f,\n"
                  "  \"sweep_wall_time_mad_s\": %.6f,\n"
-                 "  \"sim_threads\": %u,\n"
                  "  \"host_cpus\": %u,\n"
-                 "  \"events_parallel\": %llu,\n"
-                 "  \"events_per_sec_parallel\": %.1f,\n"
-                 "  \"wall_time_parallel1_s\": %.6f,\n"
-                 "  \"wall_time_parallel1_mad_s\": %.6f,\n"
-                 "  \"wall_time_parallel4_s\": %.6f,\n"
-                 "  \"wall_time_parallel4_mad_s\": %.6f,\n"
-                 "  \"parallel_speedup\": %.3f,\n"
-                 "  \"parallel_gate_skipped\": %s,\n"
-                 "  \"parallel_gate_skip_reason\": \"%s\",\n"
                  "  \"warm_prefix_frames\": 2,\n"
                  "  \"warm_prefix_forks\": %llu,\n"
                  "  \"warm_prefix_cold_wall_time_s\": %.6f,\n"
@@ -494,13 +418,7 @@ main(int argc, char **argv)
                  events_per_sec, sim.median, sim.mad,
                  events_per_sec_traced, traced.trace->eventCount(),
                  traced_stats.median, traced_stats.mad, n_jobs,
-                 runner.workers(), sweep.median, sweep.mad,
-                 kSimThreads, host_cpus,
-                 static_cast<unsigned long long>(events_parallel),
-                 events_per_sec_parallel, par1.median, par1.mad,
-                 parN.median, parN.mad, parallel_speedup,
-                 parallel_gate_skip_reason.empty() ? "false" : "true",
-                 parallel_gate_skip_reason.c_str(),
+                 runner.workers(), sweep.median, sweep.mad, host_cpus,
                  static_cast<unsigned long long>(warm_prefix_forks),
                  sweep_cold.median, sweep_warm.median, sweep_warm.mad,
                  warm_prefix_reduction_pct);
@@ -572,39 +490,8 @@ main(int argc, char **argv)
     }
     const double geomean =
         std::exp(log_sum / std::size(metrics));
-    bool regressed = geomean > 1.0 + tolerance / 100.0;
+    const bool regressed = geomean > 1.0 + tolerance / 100.0;
     std::printf("baseline: wall-time geomean ratio %.3fx — %s\n",
                 geomean, regressed ? "REGRESSION" : "ok");
-
-    // Parallel-speedup gate: only meaningful when both the baseline
-    // host and this host actually have the CPUs to run kSimThreads
-    // lanes; otherwise (1-core CI runner, old baseline file) say so
-    // explicitly — the skip is already recorded in the results file —
-    // and don't gate.
-    const JsonValue *base_speedup = base.find("parallel_speedup");
-    const JsonValue *base_cpus = base.find("host_cpus");
-    if (base_speedup == nullptr || !base_speedup->isNumber()) {
-        std::printf("baseline: parallel gate SKIPPED: baseline has no "
-                    "parallel_speedup field\n");
-    } else if (base_cpus == nullptr || !base_cpus->isNumber()
-               || base_cpus->number < kSimThreads
-               || host_cpus < kSimThreads) {
-        std::printf("baseline: parallel gate SKIPPED: baseline host "
-                    "%.0f cpus, this host %u cpus, need >= %u to gate "
-                    "(speedup %.2fx vs %.2fx, informational)\n",
-                    base_cpus && base_cpus->isNumber()
-                        ? base_cpus->number : 0.0,
-                    host_cpus, kSimThreads, parallel_speedup,
-                    base_speedup->number);
-    } else {
-        const double floor =
-            base_speedup->number * (1.0 - tolerance / 100.0);
-        const bool par_regressed = parallel_speedup < floor;
-        std::printf("baseline: parallel speedup %.2fx vs %.2fx "
-                    "(floor %.2fx) — %s\n",
-                    parallel_speedup, base_speedup->number, floor,
-                    par_regressed ? "REGRESSION" : "ok");
-        regressed = regressed || par_regressed;
-    }
     return regressed ? 1 : 0;
 }

@@ -28,11 +28,11 @@ main(int argc, char **argv)
     const BenchmarkSpec &spec =
         findBenchmark(args.get("benchmark", "CCS"));
     const auto frames =
-        static_cast<std::uint32_t>(args.getInt("frames", 4));
+        static_cast<std::uint32_t>(args.getUint("frames", 4));
     const auto width =
-        static_cast<std::uint32_t>(args.getInt("width", 960));
+        static_cast<std::uint32_t>(args.getUint("width", 960));
     const auto height =
-        static_cast<std::uint32_t>(args.getInt("height", 544));
+        static_cast<std::uint32_t>(args.getUint("height", 544));
 
     auto run = [&](GpuConfig cfg) {
         cfg.screenWidth = width;

@@ -38,11 +38,11 @@ main(int argc, char **argv)
     const BenchmarkSpec &spec =
         findBenchmark(args.get("benchmark", "SuS"));
     const auto frames =
-        static_cast<std::uint32_t>(args.getInt("frames", 8));
+        static_cast<std::uint32_t>(args.getUint("frames", 8));
     const auto width =
-        static_cast<std::uint32_t>(args.getInt("width", 960));
+        static_cast<std::uint32_t>(args.getUint("width", 960));
     const auto height =
-        static_cast<std::uint32_t>(args.getInt("height", 544));
+        static_cast<std::uint32_t>(args.getUint("height", 544));
 
     GpuConfig cfg = GpuConfig::libra(2, 4);
     cfg.screenWidth = width;

@@ -24,11 +24,11 @@ main(int argc, char **argv)
                        {"benchmark", "frames", "width", "height"});
     const std::string bench = args.get("benchmark", "CCS");
     const auto frames =
-        static_cast<std::uint32_t>(args.getInt("frames", 4));
+        static_cast<std::uint32_t>(args.getUint("frames", 4));
     const auto width =
-        static_cast<std::uint32_t>(args.getInt("width", 1920));
+        static_cast<std::uint32_t>(args.getUint("width", 1920));
     const auto height =
-        static_cast<std::uint32_t>(args.getInt("height", 1080));
+        static_cast<std::uint32_t>(args.getUint("height", 1080));
 
     const BenchmarkSpec &spec = findBenchmark(bench);
     std::printf("benchmark: %s (%s, %s)\n", spec.abbrev.c_str(),

@@ -37,11 +37,11 @@ main(int argc, char **argv)
     const BenchmarkSpec &spec =
         findBenchmark(args.get("benchmark", "CCS"));
     const auto frames =
-        static_cast<std::uint32_t>(args.getInt("frames", 5));
+        static_cast<std::uint32_t>(args.getUint("frames", 5));
     const auto width =
-        static_cast<std::uint32_t>(args.getInt("width", 960));
+        static_cast<std::uint32_t>(args.getUint("width", 960));
     const auto height =
-        static_cast<std::uint32_t>(args.getInt("height", 544));
+        static_cast<std::uint32_t>(args.getUint("height", 544));
 
     std::vector<Entry> entries;
     entries.push_back({"baseline 1RUx8", GpuConfig::baseline(8)});

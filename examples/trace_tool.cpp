@@ -32,11 +32,11 @@ record(const CliArgs &args)
     const BenchmarkSpec &spec =
         findBenchmark(args.get("benchmark", "CCS"));
     const auto frames =
-        static_cast<std::uint32_t>(args.getInt("frames", 8));
+        static_cast<std::uint32_t>(args.getUint("frames", 8));
     const auto width =
-        static_cast<std::uint32_t>(args.getInt("width", 960));
+        static_cast<std::uint32_t>(args.getUint("width", 960));
     const auto height =
-        static_cast<std::uint32_t>(args.getInt("height", 544));
+        static_cast<std::uint32_t>(args.getUint("height", 544));
     const std::string out = args.get("out", spec.abbrev + ".ltrc");
 
     const Scene scene(spec, width, height);

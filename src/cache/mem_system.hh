@@ -156,15 +156,6 @@ class ReplicationTracker
     /** Register a sibling cache's install/evict hooks. */
     void attach(Cache &cache);
 
-    /**
-     * Direct recording interface, used instead of attach() by the
-     * sharded engine: install/evict hooks fire on worker threads there,
-     * so each shard buffers its events and the coordinator replays them
-     * here in a fixed (shard, sequence) order at window barriers.
-     */
-    void recordInstall(Addr line);
-    void recordEvict(Addr line);
-
     std::uint64_t installs() const { return totalInstalls; }
     std::uint64_t replicatedInstalls() const { return replicated; }
 
@@ -198,6 +189,9 @@ class ReplicationTracker
     void importState(SnapshotReader &r);
 
   private:
+    void recordInstall(Addr line);
+    void recordEvict(Addr line);
+
     /** Sized for a texture-heavy L1 working set; grows if exceeded. The
      *  install/evict hooks fire on every L1 line turn-over, so this map
      *  shares the open-addressed design of the MSHR index. */

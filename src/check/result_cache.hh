@@ -47,9 +47,10 @@ namespace libra
  * report could go stale against the current code: simulator model
  * changes, report schema changes, or key-hash (mixer) changes.
  */
-constexpr std::uint32_t kResultCacheCodeVersion = 2;
+constexpr std::uint32_t kResultCacheCodeVersion = 3;
 // v2: configHash() chain gained renderingElimination; reports may
 //     carry re.* counters.
+// v3: configHash() chain lost the removed sharded-engine flag.
 
 /** Identity of one cacheable simulation request. */
 struct ResultCacheKey

@@ -4,18 +4,18 @@
  *
  * A snapshot captures everything the simulator carries *across* a frame
  * boundary: cache lines and LRU clocks, the replication tracker, DRAM
- * bank state, event-queue clocks (shared and per-shard), the adaptive
- * controller's observation window, per-RU/core issue state, every
- * registered counter, the run-so-far RunResult and the TraceSink's
- * lanes. Frame boundaries are the only legal snapshot points: at the
- * end of Gpu::tryRenderFrame all event queues are drained, every MSHR
- * is free, the DRAM queues and wakeups are quiescent and the RUs assert
- * idle — so the transient machinery (events in flight, stalled
- * requests, shard link buffers) is empty by construction and does not
- * need to be serialized. The InvariantChecker defines what "complete"
- * means here; the restore contract (DESIGN.md §10) is byte-identity: a
- * run restored at frame F produces counter dumps, reports and Chrome
- * traces identical to the uninterrupted run, sequential or sharded.
+ * bank state, the event-queue clock, the adaptive controller's
+ * observation window, per-RU/core issue state, every registered
+ * counter, the run-so-far RunResult and the TraceSink's lanes. Frame
+ * boundaries are the only legal snapshot points: at the end of
+ * Gpu::tryRenderFrame the event queue is drained, every MSHR is free,
+ * the DRAM queues and wakeups are quiescent and the RUs assert idle —
+ * so the transient machinery (events in flight, stalled requests) is
+ * empty by construction and does not need to be serialized. The
+ * InvariantChecker defines what "complete" means here; the restore
+ * contract (DESIGN.md §10) is byte-identity: a run restored at frame F
+ * produces counter dumps, reports and Chrome traces identical to the
+ * uninterrupted run.
  *
  * On-disk format `libra.snapshot/1`: magic "LSNP", a format version, a
  * fixed header keying the snapshot on (config hash, warm-prefix hash,
@@ -49,11 +49,12 @@ constexpr std::uint32_t kSnapshotFormatVersion = 1;
  * payload changes (new field, reordered member, changed invariant), so
  * snapshots written by older code are refused instead of misread.
  */
-constexpr std::uint32_t kSnapshotCodeVersion = 2;
+constexpr std::uint32_t kSnapshotCodeVersion = 3;
 // v2: Scheduler section holds policy-object state (only LIBRA's
 //     adaptive controller writes anything; stateless policies write
 //     nothing) and GpuCore carries the Rendering Elimination input-
 //     signature table.
+// v3: configHash() no longer mixes the removed sharded-engine flag.
 
 /** Fixed header keying a snapshot to the run that may restore it. */
 struct SnapshotHeader
@@ -71,7 +72,7 @@ enum class SnapSection : std::uint32_t
 {
     Result = 1,  //!< RunResult-so-far (JSON payload)
     Trace,       //!< TraceSink lanes + interned names
-    Engine,      //!< shared + per-shard EventQueue clocks, shard stats
+    Engine,      //!< EventQueue clock
     Caches,      //!< lines/LRU/ports for l2, vertex, tile, tex-L1s
     Dram,        //!< per-channel bank state, issue sequence
     Replication, //!< ReplicationTracker refcounts

@@ -52,24 +52,6 @@ CliArgs::get(const std::string &name, const std::string &fallback) const
     return it == opts.end() ? fallback : it->second;
 }
 
-std::int64_t
-CliArgs::getInt(const std::string &name, std::int64_t fallback) const
-{
-    auto it = opts.find(name);
-    if (it == opts.end())
-        return fallback;
-    const std::string &text = it->second;
-    errno = 0;
-    char *end = nullptr;
-    const std::int64_t value = std::strtoll(text.c_str(), &end, 0);
-    if (text.empty() || end != text.c_str() + text.size())
-        fatal("option --", name, ": expected an integer, got '", text,
-              "'");
-    if (errno == ERANGE)
-        fatal("option --", name, ": value '", text, "' out of range");
-    return value;
-}
-
 std::uint64_t
 CliArgs::getUint(const std::string &name, std::uint64_t fallback) const
 {

@@ -38,15 +38,9 @@ class CliArgs
     /**
      * Numeric accessors parse the whole value; trailing garbage,
      * overflow or an empty value is fatal ("--frames=abc" must not
-     * quietly run 0 frames).
-     */
-    std::int64_t getInt(const std::string &name, std::int64_t fallback) const;
-
-    /**
-     * Unsigned variant for count/duration options (--deadline-ms,
-     * --checkpoint-every, ...): everything getInt rejects plus any
-     * negative value. "--backoff-ms=-5" must die here, not wrap to a
-     * 584-million-year backoff through a static_cast.
+     * quietly run 0 frames). getUint, for counts and durations, also
+     * rejects a negative value: "--frames=-1" must die here, not wrap
+     * to about 4 billion frames through a static_cast.
      */
     std::uint64_t getUint(const std::string &name,
                           std::uint64_t fallback) const;

@@ -15,9 +15,8 @@
  * skipTile predicate, tiles whose input signature is unchanged are
  * discarded at handout time — before they ever reach the Tile Fetcher
  * — and reported through onTileSkipped so frame accounting still sees
- * them exactly once. Both callbacks run on the shared/coordinator
- * event domain in the sharded engine (nextTile() is only ever called
- * from the fetcher), so skip decisions stay deterministic.
+ * them exactly once. Both callbacks run inside nextTile(), which only
+ * the fetcher calls.
  */
 
 #ifndef LIBRA_CORE_TILE_SCHEDULER_HH

@@ -166,8 +166,6 @@ farmRequestLine(const FarmRequest &req)
         w.value(req.firstFrame);
         w.key("config");
         w.value(req.config);
-        w.key("sim_threads");
-        w.value(req.simThreads);
         if (!req.figure.empty()) {
             w.key("figure");
             w.value(req.figure);
@@ -257,12 +255,6 @@ parseFarmRequest(const std::string &line)
     if (!config.isOk())
         return config.status();
     req.config = *config;
-    if (const JsonValue *st = doc->find("sim_threads")) {
-        Result<std::uint32_t> v = asU32(st, "sim_threads");
-        if (!v.isOk())
-            return v.status();
-        req.simThreads = *v;
-    }
     if (const JsonValue *fig = doc->find("figure");
         fig && fig->isString()) {
         req.figure = fig->str;
@@ -452,7 +444,6 @@ farmRequestConfig(const FarmRequest &req)
         return cfg.status();
     cfg->screenWidth = req.width;
     cfg->screenHeight = req.height;
-    cfg->simThreads = req.simThreads;
     if (Status st = cfg->validate(); !st.isOk()) {
         return Status::error(ErrorCode::InvalidArgument,
                              "farm request '", req.id, "': ",

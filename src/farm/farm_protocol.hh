@@ -10,7 +10,9 @@
  * report is streamed verbatim, so a cache hit is byte-identical to the
  * miss that populated it (reports never contain raw newlines; the
  * explicit byte count makes that a checked property, not an
- * assumption).
+ * assumption). Request keys the parser does not know are ignored, so
+ * lines written by older clients, and journals holding them, still
+ * parse.
  *
  * Request ops:
  *   simulate (default) — run/memoize one (benchmark, resolution,
@@ -66,7 +68,6 @@ struct FarmRequest
     std::uint32_t frames = 4;
     std::uint32_t firstFrame = 0;
     std::string config = "libra:2x4"; //!< config spec (file header)
-    std::uint32_t simThreads = 0;     //!< sharded-engine threads
     std::string figure;               //!< free-form figure tag, echoed
 };
 
@@ -110,9 +111,9 @@ std::string farmResponseLine(const FarmResponse &resp);
 Result<FarmResponse> parseFarmResponse(const std::string &line);
 
 /**
- * Build the GpuConfig a request describes: preset spec + resolution +
- * simThreads. The config is validated; InvalidArgument names the bad
- * field so the client sees an attributable error.
+ * Build the GpuConfig a request describes: preset spec + resolution.
+ * The config is validated; InvalidArgument names the bad field so the
+ * client sees an attributable error.
  */
 Result<GpuConfig> farmRequestConfig(const FarmRequest &req);
 

@@ -20,21 +20,6 @@ Gpu::Gpu(const GpuConfig &cfg)
     libra_assert(config.rasterUnits > 0 && config.coresPerRu > 0,
                  "GPU needs Raster Units and cores");
 
-    // Sharded engine: one event-queue shard per RU; `queue` becomes
-    // the shared L2/DRAM/scheduler shard. Everything RU-private below
-    // (texture L1s, the units and their cores) is built against its
-    // shard queue and reaches the shared domain through the engine's
-    // boundary links.
-    const bool sharded = config.simThreads > 0;
-    if (sharded) {
-        engine = std::make_unique<ShardEngine>(
-            queue, config.rasterUnits, config.simThreads,
-            config.shardLookahead(), config.fifoDepth);
-    }
-    const auto shard_queue = [&](std::uint32_t ru) -> EventQueue & {
-        return sharded ? engine->shardQueue(ru) : queue;
-    };
-
     dramModel = std::make_unique<Dram>(queue, config.dram);
     idealSink = std::make_unique<IdealMemory>(queue, 0);
 
@@ -55,13 +40,7 @@ Gpu::Gpu(const GpuConfig &cfg)
         ? static_cast<MemSink &>(*idealSink)
         : static_cast<MemSink &>(*dramModel);
 
-    if (sharded)
-        engine->setDownstreams(*l2, fb_sink);
-
     // One private texture L1 per shader core, all behind the shared L2.
-    // Sharded, the L1 lives on its RU's shard and misses cross through
-    // the shard's texture link; replication events are buffered per
-    // shard and replayed into the tracker at the window barrier.
     for (std::uint32_t ru = 0; ru < config.rasterUnits; ++ru) {
         for (std::uint32_t c = 0; c < config.coresPerRu; ++c) {
             CacheConfig tex_cfg = config.textureCache;
@@ -70,26 +49,10 @@ Gpu::Gpu(const GpuConfig &cfg)
             tex_cfg.name = name.str();
             if (config.idealMemory)
                 tex_cfg.alwaysHit = true;
-            MemSink &tex_next = sharded
-                ? static_cast<MemSink &>(engine->texLink(ru))
-                : static_cast<MemSink &>(*l2);
-            texL1s.push_back(std::make_unique<Cache>(
-                shard_queue(ru), tex_cfg, tex_next));
-            if (sharded) {
-                Cache &tex = *texL1s.back();
-                tex.onInstall = [this, ru](Addr line) {
-                    engine->bufferReplEvent(ru, line, true);
-                };
-                tex.onEvict = [this, ru](Addr line) {
-                    engine->bufferReplEvent(ru, line, false);
-                };
-            } else {
-                replTracker.attach(*texL1s.back());
-            }
+            texL1s.push_back(std::make_unique<Cache>(queue, tex_cfg, *l2));
+            replTracker.attach(*texL1s.back());
         }
     }
-    if (sharded)
-        engine->replTracker = &replTracker;
 
     GeometryConfig geom_cfg;
     geom_cfg.vertexProcessors = config.vertexProcessors;
@@ -118,38 +81,15 @@ Gpu::Gpu(const GpuConfig &cfg)
         for (std::uint32_t c = 0; c < config.coresPerRu; ++c)
             l1s.push_back(texL1s[ru * config.coresPerRu + c].get());
 
-        // Sharded, the unit runs entirely on its shard: flush writes go
-        // through the shard's framebuffer link and finished tiles are
-        // buffered for the coordinator (applyTileDone touches shared
-        // frame accounting). flushNeeded stays direct — tileSignatures
-        // is pre-sized and tiles are disjoint across shards.
-        MemSink &unit_fb = sharded
-            ? static_cast<MemSink &>(engine->fbLink(ru))
-            : fb_sink;
-        rus.push_back(std::make_unique<RasterUnit>(
-            shard_queue(ru), ru_cfg, grid, unit_fb, l1s));
+        rus.push_back(std::make_unique<RasterUnit>(queue, ru_cfg, grid,
+                                                   fb_sink, l1s));
         RasterUnit *unit = rus.back().get();
         unit->flushNeeded = [this](TileId tile, std::uint64_t sig) {
             const bool changed = tileSignatures[tile] != sig;
             tileSignatures[tile] = sig;
             return changed;
         };
-        if (sharded) {
-            unit->onTileDone = [this, ru](const TileDoneInfo &info) {
-                engine->bufferTileDone(ru, info);
-            };
-            unit->onSpaceFreed = [this, ru] {
-                engine->rasterLink(ru).returnCredit();
-            };
-            engine->rasterLink(ru).setTarget(*unit);
-        } else {
-            unit->onTileDone = [this](const TileDoneInfo &info) {
-                applyTileDone(info);
-            };
-        }
-    }
-    if (sharded) {
-        engine->applyTileDone = [this](const TileDoneInfo &info) {
+        unit->onTileDone = [this](const TileDoneInfo &info) {
             applyTileDone(info);
         };
     }
@@ -158,10 +98,7 @@ Gpu::Gpu(const GpuConfig &cfg)
                                                 config.rasterUnits);
     if (config.renderingElimination) {
         // Skip decisions read the precomputed per-frame skip set; both
-        // hooks run at scheduler handout, which only ever happens on
-        // the shared/coordinator event domain (the fetcher), so the
-        // sharded engine stays deterministic with no new event
-        // ownership.
+        // hooks run at scheduler handout (the fetcher).
         tileSched->skipTile = [this](TileId tile) {
             return reSkipTile[tile] != 0;
         };
@@ -169,14 +106,9 @@ Gpu::Gpu(const GpuConfig &cfg)
             applyTileSkipped(tile);
         };
     }
-    // The fetcher lives in the shared domain; sharded, it pushes into
-    // the credit-tracking raster links instead of the units directly.
     std::vector<RasterSink *> ru_ptrs;
-    for (std::uint32_t r = 0; r < config.rasterUnits; ++r) {
-        ru_ptrs.push_back(sharded
-            ? static_cast<RasterSink *>(&engine->rasterLink(r))
-            : static_cast<RasterSink *>(rus[r].get()));
-    }
+    for (auto &unit : rus)
+        ru_ptrs.push_back(unit.get());
     fetcher = std::make_unique<TileFetcher>(queue, *tileCache, ru_ptrs,
                                             *tileSched);
 
@@ -316,13 +248,9 @@ std::string
 Gpu::diagnosticState() const
 {
     std::ostringstream os;
-    os << "tick " << (engine ? engine->maxNow() : queue.now())
-       << ", tiles flushed " << tilesFlushed
+    os << "tick " << queue.now() << ", tiles flushed " << tilesFlushed
        << "/" << grid.tileCount() << ", pending events "
-       << queue.pending();
-    if (engine)
-        os << " (+" << engine->shardPendingEvents() << " sharded)";
-    os << ", outstanding DRAM requests "
+       << queue.pending() << ", outstanding DRAM requests "
        << dramModel->pendingRequests();
     for (std::size_t i = 0; i < rus.size(); ++i) {
         const RasterUnit &unit = *rus[i];
@@ -430,36 +358,6 @@ Gpu::computeReSignatures(const BinnedFrame &binned)
     reSigValid = true;
 }
 
-Status
-Gpu::runShardedRaster(Watchdog &watchdog)
-{
-    // Window loop: raster phase and straggler drain in one condition —
-    // a frame is done when every tile flushed AND no queue or boundary
-    // link holds work (the sequential engine's two loops, fused).
-    std::uint32_t last_flushed = tilesFlushed;
-    while (tilesFlushed < grid.tileCount() || engine->anyPending()) {
-        if (tilesFlushed != last_flushed) {
-            last_flushed = tilesFlushed;
-            watchdog.progress(engine->maxNow());
-        }
-        const char *phase =
-            tilesFlushed < grid.tileCount() ? "raster" : "drain";
-        if (Status st = watchdog.check(engine->maxNow()); !st.isOk())
-            return wedge(st, phase);
-        if (!engine->anyPending()) {
-            return wedge(
-                Status::error(ErrorCode::NoProgress,
-                              "event queues drained with ",
-                              grid.tileCount() - tilesFlushed,
-                              " tiles pending"),
-                "raster");
-        }
-        engine->runWindow();
-    }
-    watchdog.progress(engine->maxNow());
-    return Status::ok();
-}
-
 FrameStats
 Gpu::renderFrame(const FrameData &frame, const TexturePool &pool)
 {
@@ -479,11 +377,7 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
             "state is inconsistent — build a fresh Gpu");
     }
 
-    // Sharded, the RU shard clocks can trail the shared clock by up to
-    // one window at frame end; align every queue so this frame starts
-    // from a single well-defined tick.
-    const Tick frame_start = engine ? engine->alignClocks()
-                                    : queue.now();
+    const Tick frame_start = queue.now();
     Watchdog watchdog(config.watchdog, frame_start);
 
 #if LIBRA_FAULTS_ENABLED
@@ -580,11 +474,7 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
     }
 
     // --- Raster phase ----------------------------------------------------
-    // Geometry runs purely on the shared queue, so sharded the RU shard
-    // clocks still sit at frame_start — re-align before the units start
-    // scheduling, or their traffic would inject into the shared
-    // domain's past.
-    rasterStartTick = engine ? engine->alignClocks() : queue.now();
+    rasterStartTick = queue.now();
     dramSampler.reset(rasterStartTick, config.dramTimelineInterval);
     rasterActive = true;
     LIBRA_TRACE_BEGIN(gpuLane, nameRaster, rasterStartTick, 0);
@@ -592,42 +482,36 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
         unit->beginFrame(binned, pool);
     fetcher->beginFrame(binned);
 
-    if (engine) {
-        if (Status st = runShardedRaster(watchdog); !st.isOk())
-            return st;
-    } else {
-        std::uint32_t last_flushed = tilesFlushed;
-        while (tilesFlushed < grid.tileCount()) {
-            if (tilesFlushed != last_flushed) {
-                last_flushed = tilesFlushed;
-                watchdog.progress(queue.now());
-            }
-            if (Status st = watchdog.check(queue.now()); !st.isOk())
-                return wedge(st, "raster");
-            if (!queue.runOne()) {
-                return wedge(
-                    Status::error(ErrorCode::NoProgress,
-                                  "event queue drained with ",
-                                  grid.tileCount() - tilesFlushed,
-                                  " tiles pending"),
-                    "raster");
-            }
+    std::uint32_t last_flushed = tilesFlushed;
+    while (tilesFlushed < grid.tileCount()) {
+        if (tilesFlushed != last_flushed) {
+            last_flushed = tilesFlushed;
+            watchdog.progress(queue.now());
         }
-        watchdog.progress(queue.now());
-        // Drain stragglers (in-flight write-backs, bookkeeping
-        // events), still under the watchdog's eye.
-        while (!queue.empty()) {
-            if (Status st = watchdog.check(queue.now()); !st.isOk())
-                return wedge(st, "drain");
-            queue.runOne();
+        if (Status st = watchdog.check(queue.now()); !st.isOk())
+            return wedge(st, "raster");
+        if (!queue.runOne()) {
+            return wedge(Status::error(ErrorCode::NoProgress,
+                                       "event queue drained with ",
+                                       grid.tileCount() - tilesFlushed,
+                                       " tiles pending"),
+                         "raster");
         }
+    }
+    watchdog.progress(queue.now());
+    // Drain stragglers (in-flight write-backs, bookkeeping events),
+    // still under the watchdog's eye.
+    while (!queue.empty()) {
+        if (Status st = watchdog.check(queue.now()); !st.isOk())
+            return wedge(st, "drain");
+        queue.runOne();
     }
     rasterActive = false;
 
     for (auto &unit : rus)
         libra_assert(unit->idle(), "Raster Unit not idle at frame end");
 
-    const Tick frame_end = engine ? engine->maxNow() : queue.now();
+    const Tick frame_end = queue.now();
     for (auto &unit : rus)
         unit->syncPhase(frame_end);
     LIBRA_TRACE_END(gpuLane, frame_end); // raster
@@ -751,8 +635,6 @@ Gpu::saveState(SnapshotWriter &w) const
 
     w.beginSection(SnapSection::Engine);
     queue.exportState(w);
-    if (engine)
-        engine->saveState(w);
     w.endSection();
 
     w.beginSection(SnapSection::Caches);
@@ -831,8 +713,6 @@ Gpu::loadState(SnapshotReader &r)
 {
     r.openSection(SnapSection::Engine);
     queue.importState(r);
-    if (engine)
-        engine->loadState(r);
     r.closeSection();
 
     r.openSection(SnapSection::Caches);

@@ -25,7 +25,6 @@
 #include "gpu/geometry/geometry_pipeline.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/raster/raster_unit.hh"
-#include "gpu/shard_engine.hh"
 #include "gpu/tiling/tile_fetcher.hh"
 #include "gpu/tiling/tile_grid.hh"
 #include "sim/event_queue.hh"
@@ -135,18 +134,8 @@ class Gpu
     Dram &dram() { return *dramModel; }
     TileScheduler &scheduler() { return *tileSched; }
 
-    /** Events executed across every queue of this simulation: the
-     *  shared queue plus (sharded engine only) all RU shards. */
-    std::uint64_t
-    eventsExecuted() const
-    {
-        return queue.eventsExecuted()
-            + (engine ? engine->shardEventsExecuted() : 0);
-    }
-
-    /** The sharded engine, or null under the sequential engine (test
-     *  hook: the parallel-sim suite asserts its window invariants). */
-    const ShardEngine *shardEngine() const { return engine.get(); }
+    /** Events executed by this simulation's event queue. */
+    std::uint64_t eventsExecuted() const { return queue.eventsExecuted(); }
 
     /** Cumulative (run-lifetime) counters of every component. */
     const StatGroup &stats() const { return statGroup; }
@@ -182,14 +171,14 @@ class Gpu
 
     /**
      * Serialize every piece of persistent cross-frame machine state —
-     * event-queue clocks (and shard-engine window state), cache tag
-     * arrays and port/LRU clocks, DRAM bank/bus state, the replication
-     * tracker, the adaptive-controller window, per-RU/core pacing
-     * state, transaction-elimination signatures, frame feedback and
-     * the full counter tree — as the machine sections of a
+     * the event-queue clock, cache tag arrays and port/LRU clocks,
+     * DRAM bank/bus state, the replication tracker, the
+     * adaptive-controller window, per-RU/core pacing state,
+     * transaction-elimination signatures, frame feedback and the full
+     * counter tree — as the machine sections of a
      * `libra.snapshot/1` image (src/check/snapshot.hh). Must be called
-     * at a frame boundary: asserts full quiescence (queues drained,
-     * RUs idle, MSHRs empty, boundary links empty, not wedged).
+     * at a frame boundary: asserts full quiescence (queue drained,
+     * RUs idle, MSHRs empty, not wedged).
      */
     void saveState(SnapshotWriter &w) const;
 
@@ -227,12 +216,7 @@ class Gpu
 
     GpuConfig config;
     TileGrid grid;
-    EventQueue queue; //!< the only queue (sequential) or the shared
-                      //!< L2/DRAM/scheduler shard (sharded engine)
-
-    /** Sharded parallel engine (simThreads >= 1); null runs the
-     *  historical sequential event loop. */
-    std::unique_ptr<ShardEngine> engine;
+    EventQueue queue;
 
     std::unique_ptr<Dram> dramModel;
     std::unique_ptr<IdealMemory> idealSink; //!< idealMemory mode
@@ -269,12 +253,10 @@ class Gpu
     std::vector<std::uint64_t> tileSignatures; //!< transaction elim.
 
     // Rendering Elimination (GpuConfig::renderingElimination). The
-    // input-signature stage runs functionally on the coordinator right
-    // after binning; skip decisions are taken at scheduler handout on
-    // the shared event domain, so the sharded engine needs no new
-    // event ownership. The weak hash drives the skip; the strong hash
-    // (different basis) only detects weak-hash aliasing, counted as
-    // re.signature_collisions.
+    // input-signature stage runs functionally right after binning; skip
+    // decisions are taken at scheduler handout. The weak hash drives
+    // the skip; the strong hash (different basis) only detects
+    // weak-hash aliasing, counted as re.signature_collisions.
     std::vector<std::uint64_t> reWeakSig;   //!< previous frame, weak
     std::vector<std::uint64_t> reStrongSig; //!< previous frame, strong
     std::vector<std::uint8_t> reSkipTile;   //!< this frame's skip set
@@ -301,13 +283,8 @@ class Gpu
     /** Mark the GPU wedged and wrap @p st's message with diagnostics. */
     Status wedge(const Status &st, const char *phase);
 
-    /** Shared-state accounting for one finished tile; runs on the
-     *  coordinator in both engines. */
+    /** Frame accounting for one finished tile. */
     void applyTileDone(const TileDoneInfo &info);
-
-    /** Windowed raster phase + drain of the sharded engine (the
-     *  sequential equivalent lives inline in tryRenderFrame). */
-    Status runShardedRaster(Watchdog &watchdog);
 
     // Trace wiring (all null / zero when no sink is attached).
     TraceSink *traceSink = nullptr;

@@ -22,7 +22,6 @@ constexpr std::uint32_t maxTileSize = 1024;
 constexpr std::uint32_t maxRasterUnits = 64;
 constexpr std::uint32_t maxCoresPerRu = 64;
 constexpr std::uint32_t maxWarpsPerCore = 256;
-constexpr std::uint32_t maxSimThreads = 64;
 
 Status
 validateCache(const CacheConfig &cache)
@@ -185,11 +184,6 @@ GpuConfig::configHash() const
     h.mix(transactionElimination);
     h.mix(fbCompressionRatio);
     h.mix(renderingElimination);
-    // The sharded engine is a different timing reference from the
-    // sequential one (cross-shard completions pay the lookahead
-    // transit), but every sharded thread count is byte-identical — so
-    // only the engine choice is model identity, never the thread count.
-    h.mix(simThreads != 0);
     // captureImage changes the *payload* of a result (per-pixel hash
     // image present or not), so results keyed by this hash must include
     // it even though it never changes a counter. The remaining runtime
@@ -325,13 +319,6 @@ GpuConfig::validate() const
         return Status::error(ErrorCode::InvalidArgument,
                              "framebuffer compression ratio ",
                              fbCompressionRatio, " must be in (0, 1]");
-    }
-
-    // --- Parallel simulation ---------------------------------------------
-    if (simThreads > maxSimThreads) {
-        return Status::error(ErrorCode::InvalidArgument, "sim threads ",
-                             simThreads, " out of range [0, ",
-                             maxSimThreads, "]");
     }
 
     // --- Instrumentation -------------------------------------------------

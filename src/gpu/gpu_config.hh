@@ -93,33 +93,6 @@ struct GpuConfig
     /** Ticks per DRAM-bandwidth timeline bucket (Fig. 7 sampling). */
     std::uint32_t dramTimelineInterval = 5000;
 
-    // --- Parallel simulation ---------------------------------------------
-    /**
-     * Worker threads of the sharded discrete-event engine (DESIGN.md
-     * §8): 0 (the default) runs the historical sequential engine — one
-     * EventQueue, one thread; N >= 1 partitions the machine into one
-     * event-queue shard per Raster Unit plus a shared L2/DRAM/scheduler
-     * shard, and executes RU windows on N threads. The sharded engine
-     * is its own timing reference: any N >= 1 produces byte-identical
-     * counters, reports and traces (simThreads == 1 simply runs the
-     * same windowed algorithm inline), so this knob only distinguishes
-     * "sequential" from "sharded" in configHash().
-     */
-    std::uint32_t simThreads = 0;
-
-    /**
-     * Conservative lookahead of the sharded engine, in ticks: RU shards
-     * may run this far ahead of the shared domain because a cross-shard
-     * response can never arrive sooner — the minimum L2 round trip is
-     * one L2 hit latency, and the engine charges exactly that transit
-     * on every shared→RU completion.
-     */
-    Tick
-    shardLookahead() const
-    {
-        return l2.hitLatency > 0 ? l2.hitLatency : 1;
-    }
-
     // --- Robustness ------------------------------------------------------
     /** Per-frame watchdog limits (both triggers off by default). */
     WatchdogConfig watchdog;

@@ -112,15 +112,4 @@ EventQueue::importState(SnapshotReader &r)
     executed = r.takeU64();
 }
 
-void
-EventQueue::advanceTo(Tick when)
-{
-    if (when <= curTick)
-        return;
-    libra_assert(nextEventTick() >= when,
-                 "advanceTo(", when, ") would skip a pending event at ",
-                 nextEventTick());
-    curTick = when;
-}
-
 } // namespace libra

@@ -117,14 +117,6 @@ class EventQueue
      */
     std::uint64_t runUntil(Tick limit = maxTick);
 
-    /**
-     * Jump now() forward to @p when without executing anything. Only
-     * legal while no pending event predates @p when — used by the
-     * sharded engine to align every shard's clock at frame boundaries
-     * and window barriers. A no-op when @p when is in the past.
-     */
-    void advanceTo(Tick when);
-
     /** Total events executed since construction. */
     std::uint64_t eventsExecuted() const { return executed; }
 

@@ -3,25 +3,17 @@
  * Cycle-attribution trace sink: timeline events and interval samples.
  *
  * Components record begin/end spans, async (overlapping) spans, counter
- * samples and instants into per-component Lanes. A Lane is written by
- * exactly one thread *at a time*, so appends are plain vector pushes —
- * no locks, no atomics; only Lane *creation* and name interning take a
- * mutex, and both happen during wiring, never on the hot path. Under
- * the sequential engine the single writer is trivially the simulation
- * thread. Under the sharded engine (DESIGN.md §8) the discipline still
- * holds structurally: each "ru<N>" lane is written only by whichever
- * pool lane executes shard N's events, exactly one thread per window,
- * with the window barriers' release/acquire edges ordering appends
- * across windows; the "gpu"/"dram" lanes belong to the coordinator.
+ * samples and instants into per-component Lanes. A Lane is written only
+ * by the simulation thread that owns the Gpu, so appends are plain
+ * vector pushes — no locks, no atomics; only Lane *creation* and name
+ * interning take a mutex, and both happen during wiring, never on the
+ * hot path.
  *
  * The sink exports Chrome `trace_events` JSON loadable in Perfetto or
  * chrome://tracing (one process, one "thread" per Lane, ts = simulated
  * ticks). Export is deterministic: events are ordered by (tick, lane,
- * append order) — and under the sharded engine every lane's append
- * order is itself a pure function of the config — so identical
- * simulations produce byte-identical traces regardless of host, sweep
- * worker count or simulation thread count
- * (tests/test_parallel_sim.cc pins the 1-vs-4-thread trace equality).
+ * append order), so identical simulations produce byte-identical traces
+ * regardless of host or sweep worker count.
  *
  * Cost model:
  *  - compiled out: build with -DLIBRA_TRACING_ENABLED=0 (cmake option

@@ -4,11 +4,11 @@
  *
  * The contract under test is byte-identity: a run restored from a
  * frame-F snapshot must finish with counter dumps, RunReports and
- * Chrome traces identical to the uninterrupted run — under the
- * sequential loop and under --sim-threads N, with and without an armed
- * fault plan. On top sit the sweep-layer behaviors: warm-prefix
- * forking of threshold sweeps (fig19-style), periodic checkpoint
- * files + manifest rows, and the kill-mid-sweep → restore round trip.
+ * Chrome traces identical to the uninterrupted run, and a restore under
+ * an armed fault plan must be deterministic. On top sit the sweep-layer
+ * behaviors: warm-prefix forking of threshold sweeps (fig19-style),
+ * periodic checkpoint files + manifest rows, and the kill-mid-sweep →
+ * restore round trip.
  */
 
 #include <gtest/gtest.h>
@@ -38,12 +38,11 @@ constexpr std::uint32_t kHeight = 64;
 constexpr std::uint32_t kFrames = 4;
 
 GpuConfig
-smallConfig(std::uint32_t sim_threads = 0)
+smallConfig()
 {
     GpuConfig cfg = GpuConfig::libra(2, 4);
     cfg.screenWidth = kWidth;
     cfg.screenHeight = kHeight;
-    cfg.simThreads = sim_threads;
     return cfg;
 }
 
@@ -85,31 +84,28 @@ forkFrom(const Scene &scene, const GpuConfig &cfg,
 
 } // namespace
 
-TEST(Checkpoint, ForkVsColdByteIdenticalSequentialAndSharded)
+TEST(Checkpoint, ForkVsColdByteIdentical)
 {
     const Scene scene(findBenchmark("CCS"), kWidth, kHeight);
-    for (const std::uint32_t threads : {0u, 4u}) {
-        GpuConfig cfg = smallConfig(threads);
-        cfg.traceEvents = true;
+    GpuConfig cfg = smallConfig();
+    cfg.traceEvents = true;
 
-        Result<RunResult> cold = runBenchmark(scene, cfg, kFrames, 0);
-        ASSERT_TRUE(cold.isOk()) << cold.status().toString();
+    Result<RunResult> cold = runBenchmark(scene, cfg, kFrames, 0);
+    ASSERT_TRUE(cold.isOk()) << cold.status().toString();
 
-        for (std::uint32_t ckpt = 1; ckpt < kFrames; ++ckpt) {
-            const RunResult forked = forkFrom(
-                scene, cfg, capturePrefix(scene, cfg, ckpt));
-            // Byte identity at every level: full counter dump,
-            // serialized report, Chrome trace export.
-            EXPECT_EQ(forked.counters, cold->counters)
-                << "threads=" << threads << " ckpt=" << ckpt;
-            EXPECT_EQ(runReportJson(forked), runReportJson(*cold))
-                << "threads=" << threads << " ckpt=" << ckpt;
-            ASSERT_NE(forked.trace, nullptr);
-            ASSERT_NE(cold->trace, nullptr);
-            EXPECT_EQ(forked.trace->chromeTraceJson(),
-                      cold->trace->chromeTraceJson())
-                << "threads=" << threads << " ckpt=" << ckpt;
-        }
+    for (std::uint32_t ckpt = 1; ckpt < kFrames; ++ckpt) {
+        const RunResult forked =
+            forkFrom(scene, cfg, capturePrefix(scene, cfg, ckpt));
+        // Byte identity at every level: full counter dump, serialized
+        // report, Chrome trace export.
+        EXPECT_EQ(forked.counters, cold->counters) << "ckpt=" << ckpt;
+        EXPECT_EQ(runReportJson(forked), runReportJson(*cold))
+            << "ckpt=" << ckpt;
+        ASSERT_NE(forked.trace, nullptr);
+        ASSERT_NE(cold->trace, nullptr);
+        EXPECT_EQ(forked.trace->chromeTraceJson(),
+                  cold->trace->chromeTraceJson())
+            << "ckpt=" << ckpt;
     }
 }
 
@@ -145,20 +141,19 @@ TEST(Checkpoint, WarmPrefixHashAcceptsThresholdVariants)
     EXPECT_EQ(fallback.counters, other_cold->counters);
 }
 
-TEST(Checkpoint, RestoreUnderFaultsMatchesAcrossThreadCounts)
+TEST(Checkpoint, RestoreUnderFaultsIsDeterministic)
 {
-    // checkpoint x fault-injection x --sim-threads interplay: with a
-    // fault plan armed, a restore executed under 4 simulation threads
-    // must be byte-identical to the same restore executed under 1
-    // thread (the sharded engine's determinism contract survives both
-    // the injected faults and the restored starting state).
+    // checkpoint x fault-injection interplay: with a fault plan armed,
+    // the same restore executed twice must be byte-identical — neither
+    // the injected faults nor the restored starting state may carry
+    // hidden run-to-run state.
     Result<FaultPlan> plan = FaultPlan::parse(
         "seed=7;dropfill:l2@every=64;dramstall@every=256,ticks=120");
     ASSERT_TRUE(plan.isOk()) << plan.status().toString();
     const Scene scene(findBenchmark("CCS"), kWidth, kHeight);
 
-    const auto run_restored = [&](std::uint32_t threads) {
-        GpuConfig cfg = smallConfig(threads);
+    const auto run_restored = [&] {
+        const GpuConfig cfg = smallConfig();
         // The snapshot is captured fault-free (the quiesced prefix);
         // the fault plan arms the *resumed* frames.
         const auto image = capturePrefix(scene, cfg, 2);
@@ -172,10 +167,10 @@ TEST(Checkpoint, RestoreUnderFaultsMatchesAcrossThreadCounts)
         return std::move(*r);
     };
 
-    const RunResult one = run_restored(1);
-    const RunResult four = run_restored(4);
-    EXPECT_EQ(one.counters, four.counters);
-    EXPECT_EQ(runReportJson(one), runReportJson(four));
+    const RunResult first = run_restored();
+    const RunResult second = run_restored();
+    EXPECT_EQ(first.counters, second.counters);
+    EXPECT_EQ(runReportJson(first), runReportJson(second));
 }
 
 TEST(Checkpoint, WarmPrefixSweepMatchesColdSweepAndCountsForks)

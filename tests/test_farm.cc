@@ -74,7 +74,6 @@ TEST(FarmProtocol, RequestRoundTripsAllFields)
     req.frames = 8;
     req.firstFrame = 3;
     req.config = "supertile:4:2x4";
-    req.simThreads = 2;
     req.figure = "fig9";
 
     Result<FarmRequest> back = parseFarmRequest(farmRequestLine(req));
@@ -87,7 +86,6 @@ TEST(FarmProtocol, RequestRoundTripsAllFields)
     EXPECT_EQ(back->frames, req.frames);
     EXPECT_EQ(back->firstFrame, req.firstFrame);
     EXPECT_EQ(back->config, req.config);
-    EXPECT_EQ(back->simThreads, req.simThreads);
     EXPECT_EQ(back->figure, req.figure);
 }
 
@@ -242,15 +240,38 @@ TEST(FarmProtocol, RequestConfigAppliesResolutionAndThreads)
     req.width = 640;
     req.height = 360;
     req.config = "libra:2x2";
-    req.simThreads = 2;
 
     Result<GpuConfig> cfg = farmRequestConfig(req);
     ASSERT_TRUE(cfg.isOk()) << cfg.status().toString();
     EXPECT_EQ(cfg->screenWidth, 640u);
     EXPECT_EQ(cfg->screenHeight, 360u);
-    EXPECT_EQ(cfg->simThreads, 2u);
     EXPECT_EQ(cfg->rasterUnits, 2u);
     EXPECT_EQ(cfg->coresPerRu, 2u);
+}
+
+TEST(FarmProtocol, RetiredThreadCountKeyIsIgnored)
+{
+    // Older clients sent a simulation thread count on every simulate
+    // line, and farm journals they wrote hold those lines. The key is
+    // gone from the protocol; such a line must still parse, and name
+    // the same configuration as the line without it, so old journals
+    // replay.
+    const std::string head =
+        R"({"schema":"libra.farm_request/1","op":"simulate","id":"j1",)"
+        R"("benchmark":"CCS","width":640,"height":360,"frames":4,)"
+        R"("first_frame":0,"config":"libra:2x2")";
+    Result<FarmRequest> plain = parseFarmRequest(head + "}");
+    Result<FarmRequest> legacy =
+        parseFarmRequest(head + R"(,"sim_threads":4})");
+    ASSERT_TRUE(plain.isOk()) << plain.status().toString();
+    ASSERT_TRUE(legacy.isOk()) << legacy.status().toString();
+    EXPECT_EQ(farmRequestLine(*legacy), farmRequestLine(*plain));
+
+    Result<GpuConfig> plain_cfg = farmRequestConfig(*plain);
+    Result<GpuConfig> legacy_cfg = farmRequestConfig(*legacy);
+    ASSERT_TRUE(plain_cfg.isOk()) << plain_cfg.status().toString();
+    ASSERT_TRUE(legacy_cfg.isOk()) << legacy_cfg.status().toString();
+    EXPECT_EQ(legacy_cfg->configHash(), plain_cfg->configHash());
 }
 
 TEST(FarmProtocol, RequestConfigRejectsInvalidResolution)
@@ -266,7 +287,7 @@ TEST(FarmProtocol, RequestConfigRejectsInvalidResolution)
 TEST(ResultCacheTest, KeyToStringIsCanonical)
 {
     EXPECT_EQ(sampleKey().toString(),
-              "cfg:0123456789abcdef:scene:fedcba9876543210:f4@2:v2");
+              "cfg:0123456789abcdef:scene:fedcba9876543210:f4@2:v3");
 }
 
 TEST(ResultCacheTest, KeyDistinguishesEveryField)

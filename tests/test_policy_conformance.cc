@@ -3,20 +3,18 @@
  * Policy-conformance harness: every entry of the policy registry must
  * satisfy the same behavioral contract (DESIGN.md §13). The suite is
  * parameterized over the registry, so registering a new policy
- * automatically subjects it to all four legs:
+ * automatically subjects it to all three legs:
  *
  *  (a) the invariant checker stays clean (conservation laws, exactly-
  *      once tile coverage — skipped tiles included);
  *  (b) running the same configuration twice yields byte-identical
  *      counter dumps (no hidden global state in the policy object);
- *  (c) one simulation thread and four produce identical counters (the
- *      policy makes decisions only on the shared event domain);
- *  (d) snapshotting at frame k and restoring equals the uninterrupted
+ *  (c) snapshotting at frame k and restoring equals the uninterrupted
  *      run (exportState/importState capture the policy's whole state).
  *
  * The scene is ChE (Chess Elite): a UI-heavy title whose frames keep
  * a nonzero set of tiles bit-stable, so the Rendering Elimination
- * entries exercise real skips — leg (d) in particular proves the RE
+ * entries exercise real skips — leg (c) in particular proves the RE
  * signature tables survive a snapshot round-trip, because a restored
  * run that lost them would re-render tiles the cold run skipped and
  * diverge in every downstream counter.
@@ -120,23 +118,7 @@ TEST_P(PolicyConformance, CleanAndRepeatable)
     EXPECT_EQ(frameCycles(first), frameCycles(second));
 }
 
-// Leg (c): the sharded engine at 4 threads matches itself at 1 thread.
-// Policy decisions and RE skips happen at scheduler handout on the
-// shared event domain, so thread count must be invisible.
-TEST_P(PolicyConformance, ShardCountInvisible)
-{
-    GpuConfig one = policyConfig(GetParam());
-    one.simThreads = 1;
-    GpuConfig four = one;
-    four.simThreads = 4;
-    const RunResult a = run(one);
-    const RunResult b = run(four);
-    ASSERT_FALSE(a.frames.empty());
-    EXPECT_EQ(a.counters, b.counters);
-    EXPECT_EQ(frameCycles(a), frameCycles(b));
-}
-
-// Leg (d): snapshot at frame k, fork, finish — identical to the
+// Leg (c): snapshot at frame k, fork, finish — identical to the
 // uninterrupted run. Exercises the policy's exportState/importState
 // (adaptive controller state, RE signature tables).
 TEST_P(PolicyConformance, SnapshotRestoreEqualsColdRun)
