@@ -41,19 +41,7 @@
  *                         (equal warmPrefixHash) from one in-memory
  *                         snapshot instead of re-rendering it (0 = off)
  *
- * Sim-farm (DESIGN.md §12) — every bench binary can run as a one-shot
- * resident farm server instead of executing its figure:
- *   --serve               serve simulation requests until a shutdown
- *                         request arrives, then exit
- *   --socket PATH         AF_UNIX socket path (default libra_farm.sock)
- *   --cache-dir DIR       persistent result cache (default farm_cache)
- *   --farm-journal FILE   crash-safe accepted-request journal
- *   --farm-workers N      simulation worker threads (default 1)
- *   --max-queue N         queued-request admission bound (default 64)
- *   --client-quota N      outstanding requests per connection (16)
- *   --cache-max-entries N trim the cache to N entries (0 = unlimited)
- * The failure-policy flags above (--deadline-ms, --retries,
- * --backoff-ms, --quarantine) apply per served simulation.
+ * The sim-farm daemon (DESIGN.md §12) is `libra_farm --serve`.
  *
  * Default runs use a representative subset at reduced resolution so the
  * whole bench directory executes in minutes; --full reproduces the
@@ -72,7 +60,6 @@
 
 #include "common/cli.hh"
 #include "common/log.hh"
-#include "farm/farm_server.hh"
 #include "gpu/policy_registry.hh"
 #include "gpu/runner.hh"
 #include "sim/sweep.hh"
@@ -142,10 +129,7 @@ benchOptionNames(const std::vector<std::string> &extra_options = {})
         "journal", "resume", "keep-going", "faults",
         // checkpointing
         "checkpoint-dir", "checkpoint-every", "from-checkpoint",
-        "warm-prefix",
-        // sim-farm one-shot server mode
-        "serve", "socket", "cache-dir", "farm-journal", "farm-workers",
-        "max-queue", "client-quota", "cache-max-entries"};
+        "warm-prefix"};
     known.insert(known.end(), extra_options.begin(),
                  extra_options.end());
     return known;
@@ -158,37 +142,6 @@ parseBenchOptions(int argc, char **argv,
                   const std::vector<std::string> &extra_options = {})
 {
     const CliArgs args(argc, argv, benchOptionNames(extra_options));
-
-    if (args.getBool("serve")) {
-        // One-shot farm mode: this process becomes a resident sweep
-        // service and never runs its own figure. Exits when a client
-        // sends a shutdown request (or the process is killed — the
-        // journal makes that safe).
-        FarmOptions farm;
-        farm.socketPath = args.get("socket", "libra_farm.sock");
-        farm.cacheDir = args.get("cache-dir", "farm_cache");
-        farm.journalPath = args.get("farm-journal", "");
-        farm.workers =
-            static_cast<unsigned>(args.getUint("farm-workers", 1));
-        farm.maxQueue =
-            static_cast<std::uint32_t>(args.getUint("max-queue", 64));
-        farm.clientQuota = static_cast<std::uint32_t>(
-            args.getUint("client-quota", 16));
-        farm.cacheMaxEntries = args.getUint("cache-max-entries", 0);
-        farm.deadlineMs = args.getUint("deadline-ms", 0);
-        farm.maxRetries =
-            static_cast<std::uint32_t>(args.getUint("retries", 0));
-        farm.backoffMs = args.getUint("backoff-ms", 100);
-        farm.quarantineThreshold =
-            static_cast<std::uint32_t>(args.getUint("quarantine", 0));
-        Result<std::unique_ptr<FarmServer>> server =
-            FarmServer::start(std::move(farm));
-        if (!server.isOk())
-            fatal("--serve: ", server.status().toString());
-        (*server)->wait();
-        server->reset(); // join threads before exiting
-        std::exit(0);
-    }
 
     BenchOptions opt;
     opt.full = args.getBool("full");

@@ -12,12 +12,15 @@
  *   6. a journaled-but-uncompleted request is recovered into the cache
  *      on restart (the kill -9 path, minus the kill) and a torn
  *      trailing journal line is tolerated;
- *   7. a shutdown request stops the server.
+ *   7. a shutdown request stops the server;
+ *   8. a failed task counts as one failure however many coalesced
+ *      waiters hear about it;
+ *   9. the quarantine counts permanent failures only: a request that
+ *      blows its deadline (transient) never blocks its config.
  *
- * Exits nonzero with a message on the first violated expectation. CI
- * runs this as the in-process half of the farm-smoke job; the
- * out-of-process half (real kill -9 against libra_farm --serve) lives
- * in the workflow script.
+ * Exits nonzero with a message on the first violated expectation.
+ * ctest runs it as FarmSmoke.EndToEnd; the out-of-process half (real
+ * kill -9 against libra_farm --serve) lives in the CI workflow script.
  */
 
 #include <cstdio>
@@ -326,6 +329,37 @@ main()
         SMOKE_CHECK(fstats.simulations == 0,
                     "failed tasks must not count as simulations");
         fsrv->reset();
+    }
+
+    // 9. Quarantine threshold 1 and a 1 ms deadline: the same request
+    //    sent twice must fail twice with the transient deadline code —
+    //    a deadline says the host was slow, not that the config is
+    //    poisoned, so it must not strike the config.
+    {
+        FarmOptions qopt;
+        qopt.socketPath = base + "/quarantine.sock";
+        qopt.cacheDir = base + "/quarantine.cache";
+        qopt.workers = 1;
+        qopt.deadlineMs = 1;
+        qopt.quarantineThreshold = 1;
+        Result<std::unique_ptr<FarmServer>> qsrv =
+            FarmServer::start(qopt);
+        if (!qsrv.isOk())
+            fatal("quarantine-server start: ", qsrv.status().toString());
+        Result<FarmClient> qc = FarmClient::connect(qopt.socketPath);
+        if (!qc.isOk())
+            fatal("connect(q): ", qc.status().toString());
+        for (const char *id : {"q1", "q2"}) {
+            const FarmReply reply = mustCall(*qc, request("baseline:2", id));
+            SMOKE_CHECK(reply.header.code
+                                == errorCodeName(ErrorCode::DeadlineExceeded)
+                            && reply.header.message.find("quarantined")
+                                   == std::string::npos,
+                        "request ", id, " should fail with deadline "
+                        "exceeded, got '", reply.header.code, "': ",
+                        reply.header.message);
+        }
+        qsrv->reset();
     }
 
     std::printf("farm_smoke: all checks passed\n");

@@ -28,17 +28,54 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_common.hh"
+#include "common/cli.hh"
+#include "common/log.hh"
 #include "farm/farm_client.hh"
 #include "farm/farm_protocol.hh"
+#include "farm/farm_server.hh"
+#include "trace/json.hh"
 
 using namespace libra;
+
+namespace
+{
+
+/** Serve simulation requests until a client sends a shutdown request
+ *  (or the process is killed — the journal makes that safe). */
+int
+serve(const CliArgs &args)
+{
+    FarmOptions farm;
+    farm.socketPath = args.get("socket", "libra_farm.sock");
+    farm.cacheDir = args.get("cache-dir", "farm_cache");
+    farm.journalPath = args.get("farm-journal", "");
+    farm.workers = static_cast<unsigned>(args.getUint("farm-workers", 1));
+    farm.maxQueue =
+        static_cast<std::uint32_t>(args.getUint("max-queue", 64));
+    farm.clientQuota =
+        static_cast<std::uint32_t>(args.getUint("client-quota", 16));
+    farm.cacheMaxEntries = args.getUint("cache-max-entries", 0);
+    farm.deadlineMs = args.getUint("deadline-ms", 0);
+    farm.maxRetries =
+        static_cast<std::uint32_t>(args.getUint("retries", 0));
+    farm.backoffMs = args.getUint("backoff-ms", 100);
+    farm.quarantineThreshold =
+        static_cast<std::uint32_t>(args.getUint("quarantine", 0));
+    Result<std::unique_ptr<FarmServer>> server =
+        FarmServer::start(std::move(farm));
+    if (!server.isOk())
+        fatal("--serve: ", server.status().toString());
+    (*server)->wait();
+    return 0;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const std::vector<std::string> known{
-        // server mode (handled inside parseBenchOptions via --serve)
+        // server mode
         "serve", "socket", "cache-dir", "farm-journal", "farm-workers",
         "max-queue", "client-quota", "cache-max-entries", "deadline-ms",
         "retries", "backoff-ms", "quarantine",
@@ -47,12 +84,8 @@ main(int argc, char **argv)
         "config", "figure", "id", "out", "expect-cache"};
     const CliArgs args(argc, argv, known);
 
-    if (args.getBool("serve")) {
-        // Delegate to the shared one-shot server mode so libra_farm
-        // --serve and any bench binary's --serve are the same code.
-        bench::parseBenchOptions(argc, argv, {}, {});
-        return 0; // unreachable: --serve exits from inside
-    }
+    if (args.getBool("serve"))
+        return serve(args);
 
     FarmRequest req;
     const std::string op = args.get("op", "simulate");

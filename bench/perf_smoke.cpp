@@ -277,14 +277,14 @@ main(int argc, char **argv)
     SceneCache scenes;
     const Stats sweep = measure(warmup, repeat, [&] {
         const auto t0 = std::chrono::steady_clock::now();
-        std::vector<Result<RunResult>> results =
-            runner.run(make_jobs(), &scenes);
+        const SweepOutcome outcome =
+            runner.runWithPolicy(make_jobs(), SweepPolicy{}, &scenes);
         const double s =
             seconds(std::chrono::steady_clock::now() - t0);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].isOk())
+        for (std::size_t i = 0; i < outcome.jobs.size(); ++i) {
+            if (!outcome.jobs[i].result.isOk())
                 fatal("sweep job ", i, ": ",
-                      results[i].status().toString());
+                      outcome.jobs[i].result.status().toString());
         }
         return s;
     });

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
 #include "check/snapshot.hh"
 #include "common/log.hh"
+#include "trace/json.hh"
 
 namespace libra
 {
@@ -16,15 +16,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 } // namespace
 

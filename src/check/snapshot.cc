@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -74,50 +73,11 @@ readU64(const std::uint8_t *p)
     return v;
 }
 
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-Result<std::uint64_t>
-hexU64(const std::string &text, const char *what)
-{
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(
-        text.data(), text.data() + text.size(), value, 16);
-    if (ec != std::errc() || ptr != text.data() + text.size()
-        || text.empty()) {
-        return Status::error(ErrorCode::CorruptData, "manifest: bad hex ",
-                             what, ": '", text, "'");
-    }
-    return value;
-}
-
 /** Exact u64 from a JSON number via its preserved raw literal. */
 Result<std::uint64_t>
 asU64(const JsonValue *v, const char *what)
 {
-    if (!v || !v->isNumber()) {
-        return Status::error(ErrorCode::CorruptData,
-                             "manifest: missing ", what);
-    }
-    if (v->str.find_first_of(".eE+-") != std::string::npos) {
-        return Status::error(ErrorCode::CorruptData, "manifest: ", what,
-                             " is not a non-negative integer: '", v->str,
-                             "'");
-    }
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(
-        v->str.data(), v->str.data() + v->str.size(), value);
-    if (ec != std::errc() || ptr != v->str.data() + v->str.size()) {
-        return Status::error(ErrorCode::CorruptData, "manifest: bad ",
-                             what, ": '", v->str, "'");
-    }
-    return value;
+    return jsonExactU64(v, what, ErrorCode::CorruptData, "manifest: ");
 }
 
 std::string
@@ -504,22 +464,15 @@ loadSnapshotManifest(const std::string &dir)
 {
     std::vector<SnapshotManifestEntry> entries;
     const std::string path = manifestPath(dir);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return entries; // fresh checkpoint dir: no manifest yet
-    std::string text;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error) {
-        return Status::error(ErrorCode::IoError, "manifest: read of ",
-                             path, " failed");
+    Result<std::string> text = readTextFile(path);
+    if (!text.isOk()) {
+        if (text.status().code() == ErrorCode::NotFound)
+            return entries; // fresh checkpoint dir: no manifest yet
+        return Status::error(text.status().code(), "manifest: ",
+                             text.status().message());
     }
 
-    Result<JsonValue> doc = parseJson(text);
+    Result<JsonValue> doc = parseJson(*text);
     if (!doc.isOk())
         return doc.status();
     const JsonValue *schema = doc->find("schema");
@@ -549,11 +502,13 @@ loadSnapshotManifest(const std::string &dir)
             return Status::error(ErrorCode::CorruptData, "manifest ",
                                  path, ": row lacks hashes/file");
         }
-        Result<std::uint64_t> ch = hexU64(cfg->str, "config_hash");
+        Result<std::uint64_t> ch =
+            parseHex64(cfg->str, "config_hash", "manifest: ");
         if (!ch.isOk())
             return ch.status();
         e.configHash = *ch;
-        Result<std::uint64_t> sh = hexU64(scene->str, "scene_hash");
+        Result<std::uint64_t> sh =
+            parseHex64(scene->str, "scene_hash", "manifest: ");
         if (!sh.isOk())
             return sh.status();
         e.sceneHash = *sh;

@@ -53,8 +53,6 @@ class ZOrderPolicy final : public SchedulingPolicy
   public:
     explicit ZOrderPolicy(const TileGrid &g) : grid(g) {}
 
-    const char *name() const override { return "z-order"; }
-
     FramePlan
     planFrame(const FrameFeedback &) override
     {
@@ -73,8 +71,6 @@ class ScanlinePolicy final : public SchedulingPolicy
 {
   public:
     explicit ScanlinePolicy(const TileGrid &g) : grid(g) {}
-
-    const char *name() const override { return "scanline"; }
 
     FramePlan
     planFrame(const FrameFeedback &) override
@@ -99,8 +95,6 @@ class StaticSupertilePolicy final : public SchedulingPolicy
     {
     }
 
-    const char *name() const override { return "static-supertile"; }
-
     FramePlan
     planFrame(const FrameFeedback &) override
     {
@@ -124,8 +118,6 @@ class TemperatureStaticPolicy final : public SchedulingPolicy
         : grid(g), stSize(cfg.staticSupertileSize)
     {
     }
-
-    const char *name() const override { return "temperature-static"; }
 
     FramePlan
     planFrame(const FrameFeedback &prev) override
@@ -153,8 +145,6 @@ class LibraPolicy final : public SchedulingPolicy
         : grid(g), adaptive(cfg)
     {
     }
-
-    const char *name() const override { return "libra"; }
 
     FramePlan
     planFrame(const FrameFeedback &prev) override

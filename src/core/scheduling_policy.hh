@@ -79,9 +79,6 @@ class SchedulingPolicy
   public:
     virtual ~SchedulingPolicy() = default;
 
-    /** Stable identifier (schedulerPolicyName of the mechanism). */
-    virtual const char *name() const = 0;
-
     /** Build the coming frame's plan from last frame's feedback. */
     virtual FramePlan planFrame(const FrameFeedback &prev) = 0;
 

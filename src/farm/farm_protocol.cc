@@ -14,23 +14,15 @@ namespace
 Result<std::uint32_t>
 asU32(const JsonValue *v, const char *what)
 {
-    if (!v || !v->isNumber()) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "farm request: missing ", what);
-    }
-    if (v->str.find_first_of(".eE+-") != std::string::npos) {
-        return Status::error(ErrorCode::InvalidArgument, "farm request: ",
-                             what, " is not a non-negative integer: '",
-                             v->str, "'");
-    }
-    std::uint32_t value = 0;
-    auto [ptr, ec] = std::from_chars(
-        v->str.data(), v->str.data() + v->str.size(), value);
-    if (ec != std::errc() || ptr != v->str.data() + v->str.size()) {
+    Result<std::uint64_t> value =
+        jsonExactU64(v, what, ErrorCode::InvalidArgument, "farm request: ");
+    if (!value.isOk())
+        return value.status();
+    if (*value > UINT32_MAX) {
         return Status::error(ErrorCode::InvalidArgument, "farm request: bad ",
                              what, ": '", v->str, "'");
     }
-    return value;
+    return static_cast<std::uint32_t>(*value);
 }
 
 Result<std::string>

@@ -59,7 +59,6 @@ struct FarmServer::Task
     FarmRequest req;
     ResultCacheKey key;
     std::string keyStr;
-    std::uint64_t configHash = 0;
 
     struct Waiter
     {
@@ -96,8 +95,7 @@ FarmServer::start(FarmOptions options)
     if (options.workers == 0)
         options.workers = 1;
 
-    std::unique_ptr<FarmServer> srv(new FarmServer);
-    srv->opt = std::move(options);
+    std::unique_ptr<FarmServer> srv(new FarmServer(std::move(options)));
 
     Result<ResultCache> cache = ResultCache::open(srv->opt.cacheDir);
     if (!cache.isOk())
@@ -114,13 +112,10 @@ FarmServer::start(FarmOptions options)
         // Recovery drained the journal into the cache, so truncate —
         // the cache entry, not the journal line, is the durable record
         // of completed work.
-        srv->journal = std::fopen(srv->opt.journalPath.c_str(), "wb");
-        if (!srv->journal) {
-            return Status::error(ErrorCode::IoError,
-                                 "farm: cannot open journal ",
-                                 srv->opt.journalPath, ": ",
-                                 std::strerror(errno));
-        }
+        if (Status st = srv->journal.open(srv->opt.journalPath,
+                                          Journal::Mode::Truncate);
+            !st.isOk())
+            return st;
     }
 
     std::error_code ec;
@@ -153,6 +148,10 @@ FarmServer::start(FarmOptions options)
     return srv;
 }
 
+FarmServer::FarmServer(FarmOptions options)
+    : opt(std::move(options)), quarantine(opt.quarantineThreshold)
+{}
+
 FarmServer::~FarmServer()
 {
     stop();
@@ -161,8 +160,6 @@ FarmServer::~FarmServer()
     for (std::thread &w : workers)
         w.join();
     reapConnThreads(/*all=*/true);
-    if (journal)
-        std::fclose(journal);
     if (listenFd >= 0)
         ::close(listenFd);
     std::error_code ec;
@@ -220,82 +217,35 @@ FarmServer::recoverFromJournal()
     if (opt.journalPath.empty())
         return Status::ok();
 
-    std::FILE *f = std::fopen(opt.journalPath.c_str(), "rb");
-    if (!f)
-        return Status::ok(); // no journal yet: nothing accepted
+    Result<std::vector<JsonValue>> records =
+        Journal::load(opt.journalPath, kFarmJournalSchema);
+    if (!records.isOk())
+        return records.status();
 
-    std::string text;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error) {
-        return Status::error(ErrorCode::IoError, "farm journal: read "
-                             "of ", opt.journalPath, " failed");
-    }
-
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        if (end > start)
-            lines.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-
+    // Last entry for a key wins, in the key's first-seen order; earlier
+    // duplicates describe the same work (the key pins benchmark,
+    // config, frame range).
     std::vector<std::pair<std::string, FarmRequest>> pending;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const bool last = i + 1 == lines.size();
-        const bool has_newline =
-            last ? !text.empty() && text.back() == '\n' : true;
-        Result<JsonValue> doc = parseJson(lines[i]);
-        if (!doc.isOk() || !has_newline) {
-            if (last) {
-                // Same contract as the sweep journal: a record is only
-                // durable once its newline hit the disk.
-                warn("farm journal ", opt.journalPath, ": discarding "
-                     "torn trailing line (", lines[i].size(),
-                     " bytes) — interrupted append");
-                break;
-            }
-            return Status::error(ErrorCode::CorruptData, "farm journal ",
+    std::unordered_map<std::string, std::size_t> slot;
+    for (std::size_t i = 0; i < records->size(); ++i) {
+        const JsonValue *key = (*records)[i].find("key");
+        const JsonValue *line = (*records)[i].find("request_line");
+        if (!key || !key->isString() || !line || !line->isString()) {
+            return Status::error(ErrorCode::CorruptData, "journal ",
                                  opt.journalPath, ": line ", i + 1,
-                                 " is unparseable: ",
-                                 doc.status().message());
-        }
-        const JsonValue *schema = doc->find("schema");
-        const JsonValue *key = doc->find("key");
-        const JsonValue *line = doc->find("request_line");
-        if (!schema || !schema->isString()
-            || schema->str != kFarmJournalSchema || !key
-            || !key->isString() || !line || !line->isString()) {
-            return Status::error(ErrorCode::CorruptData, "farm journal ",
-                                 opt.journalPath, ": line ", i + 1,
-                                 " is not a ", kFarmJournalSchema,
-                                 " record");
+                                 " lacks key/request_line");
         }
         Result<FarmRequest> req = parseFarmRequest(line->str);
         if (!req.isOk()) {
-            return Status::error(ErrorCode::CorruptData, "farm journal ",
+            return Status::error(ErrorCode::CorruptData, "journal ",
                                  opt.journalPath, ": line ", i + 1, ": ",
                                  req.status().message());
         }
-        // Last entry for a key wins; earlier duplicates describe the
-        // same work (the key pins benchmark, config, frame range).
-        bool seen = false;
-        for (auto &[k, r] : pending) {
-            if (k == key->str) {
-                r = *req;
-                seen = true;
-                break;
-            }
-        }
-        if (!seen)
-            pending.emplace_back(key->str, *req);
+        const auto [it, fresh] = slot.try_emplace(key->str, pending.size());
+        if (fresh)
+            pending.emplace_back(key->str, std::move(*req));
+        else
+            pending[it->second].second = std::move(*req);
     }
 
     for (const auto &[keyStr, req] : pending) {
@@ -315,7 +265,7 @@ FarmServer::recoverFromJournal()
         if (cache.contains(key))
             continue; // completed before the crash
         inform("farm: recovering journaled request ", keyStr);
-        Result<std::string> report = simulate(req, key);
+        Result<std::string> report = simulate(req);
         if (!report.isOk()) {
             warn("farm journal: replay of ", keyStr, " failed "
                  "permanently: ", report.status().message());
@@ -539,24 +489,23 @@ FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
              hit.status().message(), ") — re-simulating");
     }
 
+    if (Status st = quarantine.check(key.configHash); !st.isOk()) {
+        resp.status = "error";
+        resp.code = errorCodeName(st.code());
+        resp.message = st.message();
+        respond(conn, resp);
+        return;
+    }
+
     // Admission bookkeeping under taskMtx — no I/O here (replies go
     // out after the lock drops), so coalesce attaches and quota
     // rejections from other connections never serialize behind a
-    // journal fsync, a cache file read, or a stalled client's socket.
+    // journal sync, a cache file read, or a stalled client's socket.
     bool turnedAway = false;
     {
         std::lock_guard<std::mutex> lock(taskMtx);
 
-        const auto it = opt.quarantineThreshold != 0
-            ? strikes.find(key.configHash) : strikes.end();
-        if (it != strikes.end()
-            && it->second >= opt.quarantineThreshold) {
-            resp.status = "error";
-            resp.code = errorCodeName(ErrorCode::FailedPrecondition);
-            resp.message = "config quarantined after "
-                + std::to_string(it->second) + " failures";
-            turnedAway = true;
-        } else if (conn->pending.load() >= opt.clientQuota) {
+        if (conn->pending.load() >= opt.clientQuota) {
             resp.status = "rejected";
             resp.code = errorCodeName(ErrorCode::Unavailable);
             resp.message = "per-client quota of "
@@ -598,22 +547,16 @@ FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
         return;
     }
 
-    // Accept: journal first (fsync'd, own mutex), so a kill -9 between
-    // here and the cache store loses no accepted work. A duplicate
-    // line for a key already admitted by a racing connection is
-    // harmless — replay dedups on the key.
-    if (journal) {
-        std::string jline = journalLine(resp.key, req);
-        jline += '\n';
-        std::lock_guard<std::mutex> jlock(journalMtx);
-        if (std::fwrite(jline.data(), 1, jline.size(), journal)
-                != jline.size()
-            || std::fflush(journal) != 0
-            || ::fsync(::fileno(journal)) != 0) {
+    // Accept: journal first (durable on disk), so a kill -9 between
+    // here and the cache store loses no accepted work. A duplicate line
+    // for a key already admitted by a racing connection is harmless —
+    // replay dedups on the key.
+    if (journal.isOpen()) {
+        if (Status st = journal.append(journalLine(resp.key, req));
+            !st.isOk()) {
             resp.status = "error";
-            resp.code = errorCodeName(ErrorCode::IoError);
-            resp.message = "farm journal append failed: "
-                + std::string(std::strerror(errno));
+            resp.code = errorCodeName(st.code());
+            resp.message = st.message();
             respond(conn, resp);
             return;
         }
@@ -641,7 +584,6 @@ FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
             task->req = req;
             task->key = key;
             task->keyStr = resp.key;
-            task->configHash = key.configHash;
             task->waiters.push_back({conn, req.id, FarmCacheState::Miss});
             conn->pending.fetch_add(1);
             inflight.emplace(task->keyStr, task);
@@ -673,7 +615,7 @@ FarmServer::tryAttachLocked(const std::shared_ptr<Connection> &conn,
 }
 
 Result<std::string>
-FarmServer::simulate(const FarmRequest &req, const ResultCacheKey &key)
+FarmServer::simulate(const FarmRequest &req)
 {
     Result<const BenchmarkSpec *> spec = tryFindBenchmark(req.benchmark);
     if (!spec.isOk())
@@ -688,8 +630,9 @@ FarmServer::simulate(const FarmRequest &req, const ResultCacheKey &key)
     job.frames = req.frames;
     job.firstFrame = req.firstFrame;
 
-    // PR 6 failure machinery per attempt; quarantine stays farm-level
-    // (threshold 0 here) so strikes are not double-counted.
+    // Deadlines and retries per attempt; the quarantine spans requests,
+    // so it lives in the server (threshold 0 here) and counts each
+    // failed task once.
     SweepPolicy policy;
     policy.deadlineMs = opt.deadlineMs;
     policy.maxRetries = opt.maxRetries;
@@ -704,7 +647,6 @@ FarmServer::simulate(const FarmRequest &req, const ResultCacheKey &key)
     JobOutcome &result = outcome.jobs[0];
     if (!result.result.isOk())
         return result.result.status();
-    (void)key;
     return runReportJson(*result.result);
 }
 
@@ -724,7 +666,7 @@ FarmServer::workerLoop()
             queue.pop_front();
         }
 
-        Result<std::string> report = simulate(task->req, task->key);
+        Result<std::string> report = simulate(task->req);
         if (report.isOk()) {
             task->report = std::move(*report);
             if (Status st = cache.store(task->key, task->report);
@@ -746,8 +688,7 @@ FarmServer::workerLoop()
             ++counters.simulations;
         } else {
             task->failure = report.status();
-            std::lock_guard<std::mutex> lock(taskMtx);
-            ++strikes[task->configHash];
+            quarantine.record(task->key.configHash, task->failure.code());
         }
         finishTask(task);
     }

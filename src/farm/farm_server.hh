@@ -15,14 +15,16 @@
  *  - **cache miss** — the request is journaled (crash safety), queued
  *    under admission control (bounded queue + per-connection quota) and
  *    simulated on the worker pool via SweepRunner::runWithPolicy, which
- *    supplies the PR 6 failure machinery: per-attempt wall-clock
- *    deadlines (watchdog CancelToken), bounded exponential-backoff
- *    retries, and attributable "job N [key]:" failure messages. A
- *    farm-level quarantine fails repeat-offender configs fast so one
- *    poisoned config cannot wedge the farm.
+ *    supplies the failure machinery of DESIGN.md §7: per-attempt
+ *    wall-clock deadlines (watchdog CancelToken), bounded
+ *    exponential-backoff retries, and attributable "job N [key]:"
+ *    failure messages. The sweep's Quarantine rule, applied across
+ *    requests, fails repeat-offender configs fast so one poisoned
+ *    config cannot wedge the farm.
  *
- * Crash safety: every accepted (journaled) request is either completed
- * into the cache or re-run at the next start() — recovery replays the
+ * Crash safety: every accepted request is appended to a Journal
+ * (sim/journal.hh) before it is queued, and is either completed into
+ * the cache or re-run at the next start() — recovery replays the
  * journal before the socket opens, so a kill -9 loses no accepted work
  * and a re-sent request is a byte-identical cache hit. The journal is
  * truncated once recovery lands everything in the cache.
@@ -39,7 +41,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -51,6 +52,7 @@
 #include "check/result_cache.hh"
 #include "common/status.hh"
 #include "farm/farm_protocol.hh"
+#include "sim/journal.hh"
 #include "sim/sweep.hh"
 
 namespace libra
@@ -75,7 +77,7 @@ struct FarmOptions
     std::uint32_t maxRetries = 0;
     std::uint64_t backoffMs = 0;
     /** Permanent failures of one configHash before its requests fail
-     *  fast (farm-level quarantine); 0 disables. */
+     *  fast (the Quarantine rule); 0 disables. */
     std::uint32_t quarantineThreshold = 0;
 };
 
@@ -123,7 +125,7 @@ class FarmServer
     struct Connection;
     struct Task;
 
-    FarmServer() = default;
+    explicit FarmServer(FarmOptions options);
 
     Status recoverFromJournal();
     void listenerLoop();
@@ -145,8 +147,7 @@ class FarmServer
     void reapConnThreads(bool all);
     /** Run one simulate request to a report (shared by workers and
      *  journal recovery); status carries the attributable failure. */
-    Result<std::string> simulate(const FarmRequest &req,
-                                 const ResultCacheKey &key);
+    Result<std::string> simulate(const FarmRequest &req);
     void finishTask(const std::shared_ptr<Task> &task);
 
     void respond(const std::shared_ptr<Connection> &conn,
@@ -171,15 +172,15 @@ class FarmServer
      *  consumed by reapConnThreads (both under connMtx). */
     std::vector<std::thread::id> doneConnThreads;
 
-    std::mutex taskMtx; //!< guards queue + inflight + strikes
+    std::mutex taskMtx; //!< guards queue + inflight
     std::condition_variable taskCv;
     std::deque<std::shared_ptr<Task>> queue;
     std::unordered_map<std::string, std::shared_ptr<Task>> inflight;
-    std::unordered_map<std::uint64_t, std::uint32_t> strikes;
-    /** Accepted-request journal; appends serialize on journalMtx only,
-     *  so admission control never waits behind an fsync. */
-    std::mutex journalMtx;
-    std::FILE *journal = nullptr; //!< append handle; null = no journal
+    Quarantine quarantine;
+    /** Accepted-request journal; not open when journalPath is empty.
+     *  Appends serialize inside the Journal, never under taskMtx, so
+     *  admission control never waits behind a disk sync. */
+    Journal journal;
 
     mutable std::mutex statsMtx;
     FarmStats counters;

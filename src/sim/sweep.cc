@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/log.hh"
+#include "sim/journal.hh"
 #include "sim/sweep_journal.hh"
 
 namespace libra
@@ -42,7 +43,7 @@ namespace
 /** Run one job start-to-finish; never throws. */
 Result<RunResult>
 runJob(const SweepJob &job, SceneCache *cache,
-       const CheckpointPlan &checkpoint = {})
+       const CheckpointPlan &checkpoint)
 {
     try {
         if (!job.spec) {
@@ -128,55 +129,27 @@ SweepRunner::SweepRunner(unsigned workers)
                                               hardware_concurrency()))
 {}
 
-std::vector<Result<RunResult>>
-SweepRunner::run(std::vector<SweepJob> jobs, SceneCache *cache)
+Status
+Quarantine::check(std::uint64_t config_hash) const
 {
-    std::vector<Result<RunResult>> results;
-    if (jobs.empty())
-        return results;
+    if (threshold == 0)
+        return Status::ok();
+    std::lock_guard<std::mutex> lock(mtx);
+    const auto it = failures.find(config_hash);
+    if (it == failures.end() || it->second < threshold)
+        return Status::ok();
+    return Status::error(ErrorCode::FailedPrecondition,
+                         "config quarantined after ", it->second,
+                         " permanent failures");
+}
 
-    // Single worker (or single job): run inline, no threads. This is
-    // also the reference order the determinism test compares against.
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(workerCount, jobs.size()));
-    if (workers <= 1) {
-        results.reserve(jobs.size());
-        for (const SweepJob &job : jobs)
-            results.push_back(runJob(job, cache));
-        return results;
-    }
-
-    // Submission-order results: each job writes only its own slot, so
-    // no synchronization beyond join() is needed on the output.
-    std::vector<std::optional<Result<RunResult>>> slots(jobs.size());
-    std::vector<WorkerQueue> queues(workers);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        queues[i % workers].push(i);
-
-    auto work = [&](unsigned self) {
-        while (true) {
-            std::optional<std::size_t> index = queues[self].pop();
-            for (unsigned k = 1; !index && k < workers; ++k)
-                index = queues[(self + k) % workers].steal();
-            if (!index)
-                return; // every queue drained
-            slots[*index] = runJob(jobs[*index], cache);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(work, w);
-    for (std::thread &t : pool)
-        t.join();
-
-    results.reserve(jobs.size());
-    for (std::optional<Result<RunResult>> &slot : slots) {
-        libra_assert(slot.has_value(), "sweep job never ran");
-        results.push_back(std::move(*slot));
-    }
-    return results;
+void
+Quarantine::record(std::uint64_t config_hash, ErrorCode code)
+{
+    if (threshold == 0 || isTransientFailure(code))
+        return;
+    std::lock_guard<std::mutex> lock(mtx);
+    ++failures[config_hash];
 }
 
 std::size_t
@@ -208,6 +181,10 @@ struct WarmGroup
 /** Shared mutable state of one runWithPolicy() execution. */
 struct PolicyRun
 {
+    explicit PolicyRun(std::uint32_t quarantine_threshold)
+        : quarantine(quarantine_threshold)
+    {}
+
     const std::vector<SweepJob> *jobs = nullptr;
     const SweepPolicy *policy = nullptr;
     SceneCache *cache = nullptr;
@@ -219,11 +196,8 @@ struct PolicyRun
     std::vector<std::shared_ptr<WarmGroup>> warmGroups;
     std::atomic<std::uint64_t> warmForks{0};
 
-    std::mutex quarantineMtx;
-    std::unordered_map<std::uint64_t, std::uint32_t> permanentStrikes;
-
-    std::mutex journalMtx;
-    SweepJournal *journal = nullptr; //!< null when no journal armed
+    Quarantine quarantine;
+    Journal *journal = nullptr; //!< null when no journal armed
 
     /** Set once the journal's simulated kill fires: the "process" is
      *  dead, so no further job may start. */
@@ -256,8 +230,8 @@ journalOutcome(PolicyRun &run, std::size_t index)
         record.code = outcome.result.status().code();
         record.message = outcome.result.status().message();
     }
-    std::lock_guard<std::mutex> lock(run.journalMtx);
-    if (Status st = run.journal->append(record); !st.isOk())
+    if (Status st = run.journal->append(sweepJournalLine(record));
+        !st.isOk())
         warn("sweep journal: ", st.toString());
     if (run.journal->killed())
         run.killFlag.store(true, std::memory_order_relaxed);
@@ -280,20 +254,12 @@ runPolicyJob(PolicyRun &run, std::size_t index)
         return; // a dead process journals nothing
     }
 
-    if (policy.quarantineThreshold > 0) {
-        std::lock_guard<std::mutex> lock(run.quarantineMtx);
-        auto it = run.permanentStrikes.find(run.hashes[index]);
-        if (it != run.permanentStrikes.end()
-            && it->second >= policy.quarantineThreshold) {
-            outcome.quarantined = true;
-            outcome.result = attributed(
-                run, index,
-                Status::error(ErrorCode::FailedPrecondition,
-                              "config quarantined after ", it->second,
-                              " permanent failures"));
-            journalOutcome(run, index);
-            return;
-        }
+    if (Status st = run.quarantine.check(run.hashes[index]);
+        !st.isOk()) {
+        outcome.quarantined = true;
+        outcome.result = attributed(run, index, st);
+        journalOutcome(run, index);
+        return;
     }
 
     // --- Checkpoint plan (constant across attempts) -------------------
@@ -360,7 +326,7 @@ runPolicyJob(PolicyRun &run, std::size_t index)
         if (r.isOk()) {
             RunResult result = std::move(*r);
             // Scrub the runtime attachments: the stored result must be
-            // indistinguishable from a plain run()'s.
+            // indistinguishable from a plain runBenchmark()'s.
             result.config.faults.reset();
             result.config.watchdog.cancel.reset();
             outcome.result = std::move(result);
@@ -381,11 +347,7 @@ runPolicyJob(PolicyRun &run, std::size_t index)
             continue;
         }
 
-        if (!isTransientFailure(st.code())
-            && policy.quarantineThreshold > 0) {
-            std::lock_guard<std::mutex> lock(run.quarantineMtx);
-            ++run.permanentStrikes[run.hashes[index]];
-        }
+        run.quarantine.record(run.hashes[index], st.code());
         outcome.result = attributed(run, index, st);
         break;
     }
@@ -404,7 +366,7 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
     if (jobs.empty())
         return out;
 
-    PolicyRun run;
+    PolicyRun run(policy.quarantineThreshold);
     run.jobs = &jobs;
     run.policy = &policy;
     run.cache = cache;
@@ -417,12 +379,12 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
     }
 
     // --- Journal: load (resume), then open for appending --------------
-    SweepJournal journal;
+    Journal journal;
     std::vector<JournalRecord> replayable;
     if (!policy.journalPath.empty()) {
         if (policy.resume) {
             Result<std::vector<JournalRecord>> loaded =
-                SweepJournal::load(policy.journalPath);
+                loadSweepJournal(policy.journalPath);
             if (!loaded.isOk()) {
                 for (std::size_t i = 0; i < jobs.size(); ++i)
                     out.jobs[i].result =
@@ -431,14 +393,13 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
             }
             replayable = std::move(*loaded);
         }
-        Result<SweepJournal> opened =
-            SweepJournal::open(policy.journalPath);
-        if (!opened.isOk()) {
+        if (Status st =
+                journal.open(policy.journalPath, Journal::Mode::Append);
+            !st.isOk()) {
             for (std::size_t i = 0; i < jobs.size(); ++i)
-                out.jobs[i].result = attributed(run, i, opened.status());
+                out.jobs[i].result = attributed(run, i, st);
             return out;
         }
-        journal = std::move(*opened);
 #if LIBRA_FAULTS_ENABLED
         if (!policy.faults.empty()) {
             journal.armKill(

@@ -1,7 +1,8 @@
 /**
  * @file
  * Parallel sweep engine: run many (benchmark, config) simulations
- * concurrently on a work-stealing thread pool.
+ * concurrently on one work-stealing thread pool, under a failure
+ * policy (SweepPolicy, DESIGN.md §7 "Failure model").
  *
  * Simulations are embarrassingly parallel — each owns its Gpu, its
  * EventQueue and all mutable state — so a sweep of N configurations
@@ -29,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "check/fault_injector.hh"
@@ -126,8 +128,8 @@ struct CheckpointPolicy
 
 /**
  * Failure-handling policy for SweepRunner::runWithPolicy. The default
- * policy (all fields at their defaults) behaves exactly like run():
- * one attempt per job, no deadline, no quarantine, no journal.
+ * policy (all fields at their defaults) runs every job once: no
+ * deadline, no retry, no quarantine, no journal.
  *
  * See DESIGN.md, "Failure model", for the taxonomy behind the knobs.
  */
@@ -158,8 +160,8 @@ struct SweepPolicy
      */
     std::uint32_t quarantineThreshold = 0;
 
-    /** Append-only fsync'd result journal (sweep_journal.hh); empty =
-     *  no journal. */
+    /** Crash-safe result journal (sim/journal.hh, records in
+     *  sweep_journal.hh); empty = no journal. */
     std::string journalPath;
 
     /** Replay journaled successes instead of re-running them; failed
@@ -171,6 +173,33 @@ struct SweepPolicy
 
     /** Snapshot/restore and warm-prefix forking (see CheckpointPolicy). */
     CheckpointPolicy checkpoint;
+};
+
+/**
+ * The one quarantine rule of the sweep and the sim farm (DESIGN.md §7):
+ * once one configHash() has failed permanently @p threshold times, its
+ * further jobs fail fast instead of burning a worker on a config known
+ * to be poisoned. Only permanent failures count — a transient one
+ * (isTransientFailure) says nothing about the config — and a threshold
+ * of 0 disables the rule. Thread-safe.
+ */
+class Quarantine
+{
+  public:
+    explicit Quarantine(std::uint32_t threshold) : threshold(threshold) {}
+
+    /** FailedPrecondition ("config quarantined after N permanent
+     *  failures") once @p config_hash has reached the threshold; ok
+     *  otherwise. */
+    Status check(std::uint64_t config_hash) const;
+
+    /** Count a failure of @p config_hash with @p code against it. */
+    void record(std::uint64_t config_hash, ErrorCode code);
+
+  private:
+    const std::uint32_t threshold;
+    mutable std::mutex mtx; //!< guards failures
+    std::unordered_map<std::uint64_t, std::uint32_t> failures;
 };
 
 /** Result plus execution metadata of one job under runWithPolicy. */
@@ -220,27 +249,22 @@ class SweepRunner
     explicit SweepRunner(unsigned workers = 0);
 
     /**
-     * Run every job and return their results in submission order.
-     * With @p cache non-null, scenes are built through it (and shared
-     * with any other sweep using the same cache); otherwise each job
-     * builds its own.
-     */
-    std::vector<Result<RunResult>> run(std::vector<SweepJob> jobs,
-                                       SceneCache *cache = nullptr);
-
-    /**
-     * Fault-tolerant execution: run() plus per-attempt wall-clock
-     * deadlines, bounded exponential-backoff retries for transient
-     * failures, quarantine of repeatedly-failing configs, a crash-safe
-     * result journal with resume, and fault injection. Failure Status
+     * Run every job under @p policy and return the outcomes in
+     * submission order: per-attempt wall-clock deadlines, bounded
+     * exponential-backoff retries for transient failures, quarantine
+     * of repeatedly-failing configs, a crash-safe result journal with
+     * resume, and fault injection. With @p cache non-null, scenes are
+     * built through it (and shared with any other sweep using the same
+     * cache); otherwise each job builds its own. Failure Status
      * messages are prefixed "job <index> [<key>]: " (the key carries
      * benchmark, resolution, frame range and config hash) so farm logs
      * are attributable. A sweep with failures still completes — policy
      * on whether that fails the process lives with the caller (bench
      * binaries: exit nonzero unless --keep-going).
      *
-     * Guarantee: with a default policy, outcomes carry results
-     * bit-identical to run() on the same jobs.
+     * Guarantee: with a default policy, every result is bit-identical
+     * to a serial runBenchmark() of its job, whatever the worker
+     * count.
      */
     SweepOutcome runWithPolicy(std::vector<SweepJob> jobs,
                                const SweepPolicy &policy,

@@ -1,11 +1,8 @@
 #include "sim/sweep_journal.hh"
 
-#include <cerrno>
-#include <charconv>
-#include <cstring>
-#include <unistd.h>
+#include <sstream>
 
-#include "common/log.hh"
+#include "sim/journal.hh"
 #include "sim/sweep.hh"
 #include "trace/json.hh"
 
@@ -17,51 +14,12 @@ namespace
 
 constexpr const char *kSchema = "libra.sweep_journal/1";
 
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-Result<std::uint64_t>
-hexU64(const std::string &text, const char *what)
-{
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(
-        text.data(), text.data() + text.size(), value, 16);
-    if (ec != std::errc() || ptr != text.data() + text.size()
-        || text.empty()) {
-        return Status::error(ErrorCode::CorruptData, "journal: bad hex ",
-                             what, ": '", text, "'");
-    }
-    return value;
-}
-
 /** Exact u64 from a JSON number (the parser keeps the raw literal, so
  *  values above 2^53 are not squeezed through a double). */
 Result<std::uint64_t>
 asU64(const JsonValue *v, const char *what)
 {
-    if (!v || !v->isNumber()) {
-        return Status::error(ErrorCode::CorruptData, "journal: missing ",
-                             what);
-    }
-    if (v->str.find_first_of(".eE+-") != std::string::npos) {
-        return Status::error(ErrorCode::CorruptData, "journal: ", what,
-                             " is not a non-negative integer: '", v->str,
-                             "'");
-    }
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(
-        v->str.data(), v->str.data() + v->str.size(), value);
-    if (ec != std::errc() || ptr != v->str.data() + v->str.size()) {
-        return Status::error(ErrorCode::CorruptData, "journal: bad ",
-                             what, ": '", v->str, "'");
-    }
-    return value;
+    return jsonExactU64(v, what, ErrorCode::CorruptData, "journal: ");
 }
 
 Result<double>
@@ -297,7 +255,8 @@ frameFromJson(const JsonValue &v)
                                      "journal: image pixel is not a "
                                      "hex string");
             }
-            Result<std::uint64_t> value = hexU64(px.str, "image pixel");
+            Result<std::uint64_t> value =
+                parseHex64(px.str, "image pixel", "journal: ");
             if (!value.isOk())
                 return value.status();
             fs.image.push_back(*value);
@@ -393,30 +352,9 @@ runResultFromJson(const JsonValue &v)
     return r;
 }
 
-Result<SweepJournal>
-SweepJournal::open(const std::string &path)
+std::string
+sweepJournalLine(const JournalRecord &record)
 {
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f) {
-        return Status::error(ErrorCode::IoError, "journal: cannot open ",
-                             path, ": ", std::strerror(errno));
-    }
-    SweepJournal journal;
-    journal.file.reset(f);
-    journal.filePath = path;
-    return journal;
-}
-
-Status
-SweepJournal::append(const JournalRecord &record)
-{
-    if (killedFlag)
-        return Status::ok(); // the "process" is dead; bytes go nowhere
-    if (!file) {
-        return Status::error(ErrorCode::FailedPrecondition,
-                             "journal: append on a closed journal");
-    }
-
     JsonWriter w;
     w.beginObject();
     w.key("schema");
@@ -437,94 +375,19 @@ SweepJournal::append(const JournalRecord &record)
         w.value(record.message);
     }
     w.endObject();
-    std::string line = w.str();
-    line += '\n';
-
-    ++appendCount;
-    if (killAt != 0 && appendCount == killAt) {
-        // Simulated kill(9) mid-write: half the line reaches the file,
-        // no newline, no fsync, and the process never writes again.
-        std::fwrite(line.data(), 1, line.size() / 2, file.get());
-        std::fflush(file.get());
-        killedFlag = true;
-        return Status::ok();
-    }
-
-    if (std::fwrite(line.data(), 1, line.size(), file.get())
-        != line.size()) {
-        return Status::error(ErrorCode::IoError, "journal: short write "
-                             "to ", filePath);
-    }
-    if (std::fflush(file.get()) != 0
-        || ::fsync(::fileno(file.get())) != 0) {
-        return Status::error(ErrorCode::IoError, "journal: flush/fsync "
-                             "of ", filePath, " failed: ",
-                             std::strerror(errno));
-    }
-    return Status::ok();
+    return w.str();
 }
 
 Result<std::vector<JournalRecord>>
-SweepJournal::load(const std::string &path)
+loadSweepJournal(const std::string &path)
 {
+    Result<std::vector<JsonValue>> lines = Journal::load(path, kSchema);
+    if (!lines.isOk())
+        return lines.status();
+
     std::vector<JournalRecord> records;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return records; // no journal yet: nothing completed
-
-    std::string text;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error) {
-        return Status::error(ErrorCode::IoError, "journal: read of ",
-                             path, " failed");
-    }
-
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        if (end > start)
-            lines.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const bool last = i + 1 == lines.size();
-        // A record is only durable once its newline hit the disk; a
-        // final line without one is the torn tail of a killed process.
-        const bool has_newline =
-            last ? text.size() >= 1 && text.back() == '\n' : true;
-
-        Result<JsonValue> doc = parseJson(lines[i]);
-        if (!doc.isOk() || !has_newline) {
-            if (last) {
-                warn("journal ", path, ": discarding torn trailing "
-                     "line (", lines[i].size(), " bytes) — interrupted "
-                     "append");
-                break;
-            }
-            return Status::error(ErrorCode::CorruptData, "journal ",
-                                 path, ": line ", i + 1,
-                                 " is unparseable: ",
-                                 doc.status().message());
-        }
-
-        const JsonValue &v = *doc;
-        const JsonValue *schema = v.find("schema");
-        if (!schema || !schema->isString() || schema->str != kSchema) {
-            return Status::error(ErrorCode::CorruptData, "journal ",
-                                 path, ": line ", i + 1,
-                                 " has wrong schema (expected ",
-                                 kSchema, ")");
-        }
-
+    for (std::size_t i = 0; i < lines->size(); ++i) {
+        const JsonValue &v = (*lines)[i];
         JournalRecord record;
         const JsonValue *key = v.find("key");
         const JsonValue *ok = v.find("ok");

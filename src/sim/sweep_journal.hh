@@ -1,16 +1,17 @@
 /**
  * @file
- * Crash-safe sweep result journal: an append-only, fsync'd JSON-lines
- * file recording the outcome of every finished sweep job, keyed on
- * (benchmark, resolution, frame range, config hash).
+ * Sweep result journal: the record codec that turns each finished
+ * sweep job's outcome into one line of a crash-safe Journal
+ * (sim/journal.hh), keyed on (benchmark, resolution, frame range,
+ * config hash).
  *
- * Purpose (ROADMAP item 2, "sim-farm"): a multi-hour sweep killed at
- * any point — power loss, OOM kill, ^C — must not lose completed work.
- * Each job outcome is one self-contained line, written and fsync'd
- * before the sweep moves on; on restart, SweepRunner::runWithPolicy
- * with SweepPolicy::resume replays journaled successes (restoring the
- * full RunResult, so the regenerated report is byte-identical to an
- * uninterrupted run) and re-runs only the remainder.
+ * Purpose: a multi-hour sweep killed at any point — power loss, OOM
+ * kill, ^C — must not lose completed work. Each job outcome is one
+ * self-contained line, durable on disk before the sweep moves on;
+ * on restart, SweepRunner::runWithPolicy with SweepPolicy::resume
+ * replays journaled successes (restoring the full RunResult, so the
+ * regenerated report is byte-identical to an uninterrupted run) and
+ * re-runs only the remainder.
  *
  * Line format (`libra.sweep_journal/1`), one JSON object per line:
  *
@@ -20,27 +21,17 @@
  *   {"schema":"libra.sweep_journal/1","key":"...","ok":false,
  *    "attempts":3,"code":"unavailable","message":"..."}
  *
- * Crash tolerance: a process dying mid-append leaves at most one torn
- * trailing line; load() discards it (with a warning) and treats the job
- * as never-finished. Any torn line *before* the last is real corruption
- * and fails with CorruptData. Not journaled: the GpuConfig (the resumed
- * sweep re-specifies identical jobs — the key's config hash verifies
- * that) and the event-trace TraceSink (side artifact, not part of a
- * sweep report).
- *
- * Fault hooks: armKill(n) simulates the process dying during the nth
- * append — half the line's bytes reach the file, nothing is synced
- * after, and every later append is a silent no-op, exactly what a
- * kill(9) at that point leaves on disk. The chaos-soak test drives its
- * kill-and-resume round-trip through this.
+ * Crash tolerance and the simulated kill(9) are the Journal's: a torn
+ * trailing line is discarded and the job treated as never-finished.
+ * Not journaled: the GpuConfig (the resumed sweep re-specifies
+ * identical jobs — the key's config hash verifies that) and the
+ * event-trace TraceSink (side artifact, not part of a sweep report).
  */
 
 #ifndef LIBRA_SIM_SWEEP_JOURNAL_HH
 #define LIBRA_SIM_SWEEP_JOURNAL_HH
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,54 +76,13 @@ void runResultToJson(JsonWriter &w, const RunResult &r);
  *  literal), image pixel hashes round-trip via hex strings. */
 Result<RunResult> runResultFromJson(const JsonValue &v);
 
-class SweepJournal
-{
-  public:
-    SweepJournal() = default;
-    SweepJournal(SweepJournal &&) = default;
-    SweepJournal &operator=(SweepJournal &&) = default;
+/** One `libra.sweep_journal/1` line (no newline) for @p record. */
+std::string sweepJournalLine(const JournalRecord &record);
 
-    /** Open @p path for appending, creating it if absent. */
-    static Result<SweepJournal> open(const std::string &path);
-
-    /**
-     * Read every complete record of @p path. A missing file is an
-     * empty journal (first run); a torn *final* line is discarded; any
-     * earlier unparseable line is CorruptData.
-     */
-    static Result<std::vector<JournalRecord>>
-    load(const std::string &path);
-
-    /** Serialize, append and fsync one record. No-op once killed(). */
-    Status append(const JournalRecord &record);
-
-    /** Fault hook: simulate death during the @p at_append'th append
-     *  (1-based); 0 disarms. */
-    void armKill(std::uint64_t at_append) { killAt = at_append; }
-
-    /** True once the simulated kill fired; no further bytes reach the
-     *  file, mirroring a dead process. */
-    bool killed() const { return killedFlag; }
-
-    std::uint64_t appendsDone() const { return appendCount; }
-
-  private:
-    struct FileCloser
-    {
-        void
-        operator()(std::FILE *f) const
-        {
-            if (f)
-                std::fclose(f);
-        }
-    };
-
-    std::unique_ptr<std::FILE, FileCloser> file;
-    std::string filePath;
-    std::uint64_t appendCount = 0;
-    std::uint64_t killAt = 0;
-    bool killedFlag = false;
-};
+/** Every durable record of the sweep journal at @p path, under the
+ *  Journal::load rules; CorruptData on a malformed record. */
+Result<std::vector<JournalRecord>>
+loadSweepJournal(const std::string &path);
 
 } // namespace libra
 

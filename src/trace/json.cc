@@ -1,6 +1,8 @@
 #include "trace/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -443,6 +445,68 @@ writeTextFile(const std::string &path, const std::string &content)
                              path);
     }
     return Status::ok();
+}
+
+Result<std::string>
+readTextFile(const std::string &path)
+{
+    std::FILE *fp = std::fopen(path.c_str(), "rb");
+    if (fp == nullptr) {
+        return Status::error(ErrorCode::NotFound, "cannot open ", path,
+                             ": ", std::strerror(errno));
+    }
+    std::string text;
+    char buf[65536];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), fp)) > 0)
+        text.append(buf, n);
+    const bool read_error = std::ferror(fp) != 0;
+    std::fclose(fp);
+    if (read_error)
+        return Status::error(ErrorCode::IoError, "read of ", path, " failed");
+    return text;
+}
+
+std::string
+hex16(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+Result<std::uint64_t>
+parseHex64(const std::string &text, const char *what, const char *prefix)
+{
+    std::uint64_t value = 0;
+    auto [ptr, ec] = std::from_chars(
+        text.data(), text.data() + text.size(), value, 16);
+    if (ec != std::errc() || ptr != text.data() + text.size()
+        || text.empty()) {
+        return Status::error(ErrorCode::CorruptData, prefix, "bad hex ",
+                             what, ": '", text, "'");
+    }
+    return value;
+}
+
+Result<std::uint64_t>
+jsonExactU64(const JsonValue *v, const char *what, ErrorCode code,
+             const char *prefix)
+{
+    if (!v || !v->isNumber())
+        return Status::error(code, prefix, "missing ", what);
+    if (v->str.find_first_of(".eE+-") != std::string::npos) {
+        return Status::error(code, prefix, what,
+                             " is not a non-negative integer: '", v->str,
+                             "'");
+    }
+    std::uint64_t value = 0;
+    auto [ptr, ec] = std::from_chars(
+        v->str.data(), v->str.data() + v->str.size(), value);
+    if (ec != std::errc() || ptr != v->str.data() + v->str.size())
+        return Status::error(code, prefix, "bad ", what, ": '", v->str, "'");
+    return value;
 }
 
 } // namespace libra

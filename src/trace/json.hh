@@ -123,6 +123,29 @@ Result<JsonValue> parseJson(const std::string &text);
  *  (plain fopen/fwrite); IoError on failure. */
 Status writeTextFile(const std::string &path, const std::string &content);
 
+/** The whole content of @p path: NotFound when it cannot be opened,
+ *  IoError when the read fails. */
+Result<std::string> readTextFile(const std::string &path);
+
+/** @p v as 16 zero-padded lower-case hex digits (hashes in file names,
+ *  keys and JSON strings). */
+std::string hex16(std::uint64_t v);
+
+/** All of @p text as a hexadecimal u64; otherwise CorruptData
+ *  "<prefix>bad hex <what>: '<text>'". */
+Result<std::uint64_t> parseHex64(const std::string &text, const char *what,
+                                 const char *prefix);
+
+/**
+ * Exact value of the non-negative integer JSON number @p v, read from
+ * the raw literal the parser keeps, so values above 2^53 are not
+ * rounded through a double. A missing or non-number @p v, a sign,
+ * fraction or exponent, and a value beyond 64 bits are errors with
+ * @p code whose message starts with @p prefix and names @p what.
+ */
+Result<std::uint64_t> jsonExactU64(const JsonValue *v, const char *what,
+                                   ErrorCode code, const char *prefix);
+
 } // namespace libra
 
 #endif // LIBRA_TRACE_JSON_HH

@@ -98,12 +98,13 @@ TEST(ConfigFuzzer, FixedSeedBatchSimulatesCleanly)
 
     SceneCache cache;
     SweepRunner runner;
-    const std::vector<Result<RunResult>> results =
-        runner.run(std::move(jobs), &cache);
-    ASSERT_EQ(results.size(), 6u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        ASSERT_TRUE(results[i].isOk())
-            << "job " << i << ": " << results[i].status().toString();
-        EXPECT_EQ((*results[i]).frames.size(), 2u);
+    const SweepOutcome out =
+        runner.runWithPolicy(std::move(jobs), SweepPolicy{}, &cache);
+    ASSERT_EQ(out.jobs.size(), 6u);
+    for (std::size_t i = 0; i < out.jobs.size(); ++i) {
+        const Result<RunResult> &result = out.jobs[i].result;
+        ASSERT_TRUE(result.isOk())
+            << "job " << i << ": " << result.status().toString();
+        EXPECT_EQ(result->frames.size(), 2u);
     }
 }

@@ -87,31 +87,32 @@ TEST(Determinism, SweepWorkerCountNeverChangesResults)
     }
 
     SceneCache cache;
-    auto serial = SweepRunner(1).run(jobs, &cache);
-    auto parallel = SweepRunner(4).run(jobs, &cache);
-    ASSERT_EQ(serial.size(), jobs.size());
-    ASSERT_EQ(parallel.size(), jobs.size());
+    const SweepOutcome serial_out =
+        SweepRunner(1).runWithPolicy(jobs, SweepPolicy{}, &cache);
+    const SweepOutcome parallel_out =
+        SweepRunner(4).runWithPolicy(jobs, SweepPolicy{}, &cache);
+    ASSERT_EQ(serial_out.jobs.size(), jobs.size());
+    ASSERT_EQ(parallel_out.jobs.size(), jobs.size());
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        ASSERT_TRUE(serial[i].isOk()) << serial[i].status().toString();
-        ASSERT_TRUE(parallel[i].isOk())
-            << parallel[i].status().toString();
-        EXPECT_EQ(serial[i]->counters, parallel[i]->counters) << i;
-        EXPECT_EQ(runReportJson(*serial[i]),
-                  runReportJson(*parallel[i]))
-            << i;
-        ASSERT_NE(serial[i]->trace, nullptr) << i;
-        ASSERT_NE(parallel[i]->trace, nullptr) << i;
-        EXPECT_EQ(serial[i]->trace->chromeTraceJson(),
-                  parallel[i]->trace->chromeTraceJson())
+        const Result<RunResult> &serial = serial_out.jobs[i].result;
+        const Result<RunResult> &parallel = parallel_out.jobs[i].result;
+        ASSERT_TRUE(serial.isOk()) << serial.status().toString();
+        ASSERT_TRUE(parallel.isOk()) << parallel.status().toString();
+        EXPECT_EQ(serial->counters, parallel->counters) << i;
+        EXPECT_EQ(runReportJson(*serial), runReportJson(*parallel)) << i;
+        ASSERT_NE(serial->trace, nullptr) << i;
+        ASSERT_NE(parallel->trace, nullptr) << i;
+        EXPECT_EQ(serial->trace->chromeTraceJson(),
+                  parallel->trace->chromeTraceJson())
             << i;
     }
 
     // The sweep-set report is deterministic as a whole, too.
     std::vector<RunResult> a, b;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        a.push_back(*serial[i]);
-        b.push_back(*parallel[i]);
+        a.push_back(*serial_out.jobs[i].result);
+        b.push_back(*parallel_out.jobs[i].result);
     }
     EXPECT_EQ(sweepReportJson(a), sweepReportJson(b));
 }

@@ -137,7 +137,7 @@ struct Handles
 
 struct ScoreboardData
 {
-    std::vector<Result<RunResult>> results;
+    SweepOutcome sweep;
     std::vector<Handles> memory;  //!< parallel to memorySubset()
     std::vector<Handles> compute; //!< parallel to computeSubset()
     std::vector<Handles> extraMemory;  //!< extraMemorySubset()
@@ -146,7 +146,7 @@ struct ScoreboardData
     const RunResult &
     operator[](std::size_t handle) const
     {
-        const Result<RunResult> &r = results[handle];
+        const Result<RunResult> &r = sweep.jobs[handle].result;
         EXPECT_TRUE(r.isOk()) << r.status().toString();
         return *r;
     }
@@ -197,7 +197,8 @@ data()
 
         SweepRunner runner;
         SceneCache scenes;
-        out.results = runner.run(std::move(jobs), &scenes);
+        out.sweep =
+            runner.runWithPolicy(std::move(jobs), SweepPolicy{}, &scenes);
         return out;
     }();
     return d;

@@ -1,7 +1,7 @@
 /**
  * @file
- * SweepRunner / SceneCache: determinism across worker counts, scene
- * sharing, and per-job error isolation.
+ * SweepRunner / SceneCache under a default SweepPolicy: determinism
+ * across worker counts, scene sharing, and per-job error isolation.
  */
 
 #include <gtest/gtest.h>
@@ -78,19 +78,21 @@ TEST(SweepRunner, ResultsIdenticalAcrossWorkerCounts)
     SweepRunner serial(1);
     SweepRunner pool(8);
     SceneCache cache_serial, cache_pool;
-    std::vector<Result<RunResult>> a =
-        serial.run(mixedJobs(ccs, gdl), &cache_serial);
-    std::vector<Result<RunResult>> b =
-        pool.run(mixedJobs(ccs, gdl), &cache_pool);
+    SweepOutcome a = serial.runWithPolicy(mixedJobs(ccs, gdl),
+                                          SweepPolicy{}, &cache_serial);
+    SweepOutcome b = pool.runWithPolicy(mixedJobs(ccs, gdl),
+                                        SweepPolicy{}, &cache_pool);
 
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_TRUE(a[i].isOk()) << a[i].status().toString();
-        ASSERT_TRUE(b[i].isOk()) << b[i].status().toString();
-        EXPECT_EQ((*a[i]).benchmark, (*b[i]).benchmark);
-        ASSERT_EQ((*a[i]).frames.size(), (*b[i]).frames.size());
-        for (std::size_t f = 0; f < (*a[i]).frames.size(); ++f)
-            expectFramesIdentical((*a[i]).frames[f], (*b[i]).frames[f]);
+    ASSERT_EQ(a.jobs.size(), b.jobs.size());
+    for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+        const Result<RunResult> &ra = a.jobs[i].result;
+        const Result<RunResult> &rb = b.jobs[i].result;
+        ASSERT_TRUE(ra.isOk()) << ra.status().toString();
+        ASSERT_TRUE(rb.isOk()) << rb.status().toString();
+        EXPECT_EQ(ra->benchmark, rb->benchmark);
+        ASSERT_EQ(ra->frames.size(), rb->frames.size());
+        for (std::size_t f = 0; f < ra->frames.size(); ++f)
+            expectFramesIdentical(ra->frames[f], rb->frames[f]);
     }
 }
 
@@ -100,13 +102,13 @@ TEST(SweepRunner, ResultsComeBackInSubmissionOrder)
     const BenchmarkSpec &gdl = findBenchmark("GDL");
 
     SweepRunner pool(4);
-    std::vector<Result<RunResult>> out =
-        pool.run(mixedJobs(ccs, gdl), nullptr);
-    ASSERT_EQ(out.size(), 5u);
-    EXPECT_EQ((*out[0]).benchmark, "CCS");
-    EXPECT_EQ((*out[2]).benchmark, "CCS");
-    EXPECT_EQ((*out[3]).benchmark, "GDL");
-    EXPECT_EQ((*out[4]).benchmark, "GDL");
+    SweepOutcome out =
+        pool.runWithPolicy(mixedJobs(ccs, gdl), SweepPolicy{}, nullptr);
+    ASSERT_EQ(out.jobs.size(), 5u);
+    EXPECT_EQ(out.jobs[0].result->benchmark, "CCS");
+    EXPECT_EQ(out.jobs[2].result->benchmark, "CCS");
+    EXPECT_EQ(out.jobs[3].result->benchmark, "GDL");
+    EXPECT_EQ(out.jobs[4].result->benchmark, "GDL");
 }
 
 TEST(SweepRunner, WorkerCountDefaultsAndOverrides)
@@ -126,15 +128,15 @@ TEST(SceneCache, OneBuildPerBenchmarkUnderConcurrency)
     // the workers race.
     SweepRunner pool(8);
     SceneCache cache;
-    std::vector<Result<RunResult>> out =
-        pool.run(mixedJobs(ccs, gdl), &cache);
-    for (const auto &r : out)
-        ASSERT_TRUE(r.isOk()) << r.status().toString();
+    SweepOutcome out =
+        pool.runWithPolicy(mixedJobs(ccs, gdl), SweepPolicy{}, &cache);
+    for (const JobOutcome &o : out.jobs)
+        ASSERT_TRUE(o.result.isOk()) << o.result.status().toString();
     EXPECT_EQ(cache.builds(), 2u);
 
     // A second sweep over the same keys reuses the cached scenes.
-    std::vector<Result<RunResult>> again =
-        pool.run(mixedJobs(ccs, gdl), &cache);
+    SweepOutcome again =
+        pool.runWithPolicy(mixedJobs(ccs, gdl), SweepPolicy{}, &cache);
     EXPECT_EQ(cache.builds(), 2u);
 }
 
@@ -163,11 +165,11 @@ TEST(SweepRunner, FailedJobDoesNotKillTheSweep)
     jobs.push_back({&ccs, smallConfig(GpuConfig::libra(2, 4)), 2, 0});
 
     SweepRunner pool(2);
-    std::vector<Result<RunResult>> out = pool.run(std::move(jobs));
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_TRUE(out[0].isOk());
-    EXPECT_FALSE(out[1].isOk());
-    EXPECT_TRUE(out[2].isOk());
+    SweepOutcome out = pool.runWithPolicy(std::move(jobs), SweepPolicy{});
+    ASSERT_EQ(out.jobs.size(), 3u);
+    EXPECT_TRUE(out.jobs[0].result.isOk());
+    EXPECT_FALSE(out.jobs[1].result.isOk());
+    EXPECT_TRUE(out.jobs[2].result.isOk());
 }
 
 TEST(SweepRunner, NullSpecIsAnErrorNotACrash)
@@ -175,13 +177,13 @@ TEST(SweepRunner, NullSpecIsAnErrorNotACrash)
     std::vector<SweepJob> jobs;
     jobs.push_back({nullptr, GpuConfig::baseline(8), 2, 0});
     SweepRunner pool(1);
-    std::vector<Result<RunResult>> out = pool.run(std::move(jobs));
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_FALSE(out[0].isOk());
+    SweepOutcome out = pool.runWithPolicy(std::move(jobs), SweepPolicy{});
+    ASSERT_EQ(out.jobs.size(), 1u);
+    EXPECT_FALSE(out.jobs[0].result.isOk());
 }
 
 TEST(SweepRunner, EmptyJobListIsFine)
 {
     SweepRunner pool(4);
-    EXPECT_TRUE(pool.run({}).empty());
+    EXPECT_TRUE(pool.runWithPolicy({}, SweepPolicy{}).jobs.empty());
 }

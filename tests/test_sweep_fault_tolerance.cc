@@ -1,20 +1,25 @@
 /**
  * @file
  * Fault-tolerant sweep execution (SweepRunner::runWithPolicy):
- * default-policy equivalence with run(), attributed failure messages,
- * transient-failure retries, wall-clock deadlines, quarantine, the
- * crash-safe journal with resume, and the kill-and-resume round trip
- * whose final report must be byte-identical to an uninterrupted run.
+ * default-policy equivalence with serial runBenchmark() calls,
+ * attributed failure messages, transient-failure retries, wall-clock
+ * deadlines, the Quarantine rule, the crash-safe Journal (load rules,
+ * open modes, simulated kill) and the sweep journal with resume, and
+ * the kill-and-resume round trip whose final report must be
+ * byte-identical to an uninterrupted run.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/fault_injector.hh"
 #include "gpu/gpu_config.hh"
+#include "sim/journal.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_journal.hh"
 #include "trace/json.hh"
@@ -70,6 +75,30 @@ class JournalPath
     std::string path_;
 };
 
+constexpr const char *kTestSchema = "libra.test_journal/1";
+
+/** One JSON-lines record of @p schema. */
+std::string
+record(int n, const char *schema = kTestSchema)
+{
+    return std::string("{\"schema\":\"") + schema + "\",\"n\":"
+        + std::to_string(n) + "}";
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream(path, std::ios::binary) << text;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ostringstream os;
+    os << std::ifstream(path, std::ios::binary).rdbuf();
+    return os.str();
+}
+
 /** Report-set document of a SweepOutcome, the way the benches build
  *  it: completed runs in order plus the failures section. */
 std::string
@@ -100,11 +129,16 @@ TEST(SweepPolicy, DefaultPolicyMatchesPlainRun)
     const BenchmarkSpec &ccs = findBenchmark("CCS");
 
     SweepRunner pool(4);
-    SceneCache cache_a, cache_b;
-    std::vector<Result<RunResult>> plain =
-        pool.run(smallJobs(ccs), &cache_a);
+    SceneCache cache;
     SweepOutcome policied =
-        pool.runWithPolicy(smallJobs(ccs), SweepPolicy{}, &cache_b);
+        pool.runWithPolicy(smallJobs(ccs), SweepPolicy{}, &cache);
+
+    // The reference: each job run directly and serially.
+    std::vector<Result<RunResult>> plain;
+    for (const SweepJob &job : smallJobs(ccs)) {
+        plain.push_back(runBenchmark(*job.spec, job.config, job.frames,
+                                     job.firstFrame));
+    }
 
     ASSERT_EQ(plain.size(), policied.jobs.size());
     EXPECT_FALSE(policied.killed);
@@ -164,11 +198,11 @@ TEST(SweepPolicy, InjectedTransientFailureRetriesToSuccess)
 
     // Sweep-layer faults never perturb the simulation: results are
     // byte-identical to a fault-free sweep.
-    std::vector<Result<RunResult>> ref =
-        pool.run(smallJobs(ccs), &cache_ref);
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_TRUE(ref[i].isOk());
-        EXPECT_EQ(runReportJson(*ref[i]),
+    SweepOutcome ref =
+        pool.runWithPolicy(smallJobs(ccs), SweepPolicy{}, &cache_ref);
+    for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
+        ASSERT_TRUE(ref.jobs[i].result.isOk());
+        EXPECT_EQ(runReportJson(*ref.jobs[i].result),
                   runReportJson(*out.jobs[i].result));
     }
 }
@@ -247,6 +281,156 @@ TEST(SweepPolicy, QuarantineFastFailsRepeatOffenders)
     EXPECT_TRUE(out.jobs[2].result.isOk());
 }
 
+TEST(Quarantine, TransientCodesNeverStrike)
+{
+    Quarantine q(1);
+    for (int i = 0; i < 3; ++i) {
+        q.record(7, ErrorCode::DeadlineExceeded);
+        q.record(7, ErrorCode::Unavailable);
+    }
+    EXPECT_TRUE(q.check(7).isOk());
+}
+
+TEST(Quarantine, PermanentCodeStrikes)
+{
+    Quarantine q(2);
+    q.record(7, ErrorCode::InvalidArgument);
+    EXPECT_TRUE(q.check(7).isOk()); // one strike, threshold two
+    q.record(7, ErrorCode::WatchdogExpired);
+    const Status st = q.check(7);
+    ASSERT_FALSE(st.isOk());
+    EXPECT_EQ(st.code(), ErrorCode::FailedPrecondition);
+    EXPECT_NE(st.message().find("quarantined after 2 permanent failures"),
+              std::string::npos)
+        << st.message();
+    EXPECT_TRUE(q.check(8).isOk()); // other configs are untouched
+}
+
+TEST(Quarantine, ThresholdZeroDoesNothing)
+{
+    Quarantine q(0);
+    for (int i = 0; i < 3; ++i)
+        q.record(7, ErrorCode::InvalidArgument);
+    EXPECT_TRUE(q.check(7).isOk());
+}
+
+TEST(Journal, MissingFileLoadsEmpty)
+{
+    const JournalPath path("j");
+    Result<std::vector<JsonValue>> records =
+        Journal::load(path.str(), kTestSchema);
+    ASSERT_TRUE(records.isOk()) << records.status().toString();
+    EXPECT_TRUE(records->empty());
+}
+
+TEST(Journal, AppendedRecordsLoadInOrder)
+{
+    const JournalPath path("j");
+    {
+        Journal j;
+        ASSERT_TRUE(j.open(path.str(), Journal::Mode::Append).isOk());
+        ASSERT_TRUE(j.append(record(1)).isOk());
+        ASSERT_TRUE(j.append(record(2)).isOk());
+    }
+    EXPECT_EQ(readFile(path.str()), record(1) + "\n" + record(2) + "\n");
+    Result<std::vector<JsonValue>> records =
+        Journal::load(path.str(), kTestSchema);
+    ASSERT_TRUE(records.isOk()) << records.status().toString();
+    ASSERT_EQ(records->size(), 2u);
+    EXPECT_EQ((*records)[1].find("n")->str, "2");
+}
+
+TEST(Journal, TornFinalLineIsDropped)
+{
+    const JournalPath path("j");
+    const std::string torn = record(2);
+    writeFile(path.str(),
+              record(1) + "\n" + torn.substr(0, torn.size() / 2));
+    Result<std::vector<JsonValue>> records =
+        Journal::load(path.str(), kTestSchema);
+    ASSERT_TRUE(records.isOk()) << records.status().toString();
+    ASSERT_EQ(records->size(), 1u);
+    EXPECT_EQ(records->front().find("n")->str, "1");
+
+    // A complete final record whose newline never reached the disk is
+    // not durable either.
+    writeFile(path.str(), record(1) + "\n" + record(2));
+    records = Journal::load(path.str(), kTestSchema);
+    ASSERT_TRUE(records.isOk()) << records.status().toString();
+    EXPECT_EQ(records->size(), 1u);
+}
+
+TEST(Journal, TornInteriorLineIsCorruptData)
+{
+    const JournalPath path("j");
+    const std::string torn = record(1);
+    writeFile(path.str(), torn.substr(0, torn.size() / 2) + "\n"
+                              + record(2) + "\n");
+    Result<std::vector<JsonValue>> records =
+        Journal::load(path.str(), kTestSchema);
+    ASSERT_FALSE(records.isOk());
+    EXPECT_EQ(records.status().code(), ErrorCode::CorruptData);
+}
+
+TEST(Journal, WrongSchemaIsCorruptData)
+{
+    const JournalPath path("j");
+    writeFile(path.str(), record(1) + "\n"
+                              + record(2, "libra.other_journal/1") + "\n");
+    Result<std::vector<JsonValue>> records =
+        Journal::load(path.str(), kTestSchema);
+    ASSERT_FALSE(records.isOk());
+    EXPECT_EQ(records.status().code(), ErrorCode::CorruptData);
+}
+
+TEST(Journal, TruncateModeEmptiesTheFile)
+{
+    const JournalPath path("j");
+    writeFile(path.str(), record(1) + "\n" + record(2) + "\n");
+    {
+        Journal j;
+        ASSERT_TRUE(j.open(path.str(), Journal::Mode::Truncate).isOk());
+        EXPECT_EQ(readFile(path.str()), "");
+        ASSERT_TRUE(j.append(record(3)).isOk());
+    }
+    EXPECT_EQ(readFile(path.str()), record(3) + "\n");
+
+    // Append mode keeps what is there.
+    Journal j;
+    ASSERT_TRUE(j.open(path.str(), Journal::Mode::Append).isOk());
+    ASSERT_TRUE(j.append(record(4)).isOk());
+    EXPECT_EQ(readFile(path.str()), record(3) + "\n" + record(4) + "\n");
+}
+
+TEST(Journal, NothingIsWrittenAfterTheSimulatedKill)
+{
+    const JournalPath path("j");
+    Journal j;
+    ASSERT_TRUE(j.open(path.str(), Journal::Mode::Append).isOk());
+    j.armKill(2);
+    ASSERT_TRUE(j.append(record(1)).isOk());
+    EXPECT_FALSE(j.killed());
+    ASSERT_TRUE(j.append(record(2)).isOk()); // dies half-way through
+    EXPECT_TRUE(j.killed());
+    const std::string on_disk = readFile(path.str());
+    ASSERT_TRUE(j.append(record(3)).isOk()); // a dead process is silent
+    EXPECT_EQ(readFile(path.str()), on_disk);
+
+    const std::string torn = record(2) + "\n";
+    EXPECT_EQ(on_disk, record(1) + "\n" + torn.substr(0, torn.size() / 2));
+    Result<std::vector<JsonValue>> records =
+        Journal::load(path.str(), kTestSchema);
+    ASSERT_TRUE(records.isOk()) << records.status().toString();
+    EXPECT_EQ(records->size(), 1u);
+}
+
+TEST(Journal, AppendWithoutOpenIsAnError)
+{
+    Journal j;
+    EXPECT_FALSE(j.isOpen());
+    EXPECT_EQ(j.append(record(1)).code(), ErrorCode::FailedPrecondition);
+}
+
 TEST(SweepJournalTest, RunResultJsonRoundTripIsExact)
 {
     const BenchmarkSpec &ccs = findBenchmark("CCS");
@@ -290,7 +474,7 @@ TEST(SweepJournalTest, JournalWritesLoadAndResumeSkipsCompletedJobs)
     ASSERT_EQ(first.failureCount(), 0u);
 
     Result<std::vector<JournalRecord>> records =
-        SweepJournal::load(journal.str());
+        loadSweepJournal(journal.str());
     ASSERT_TRUE(records.isOk()) << records.status().toString();
     ASSERT_EQ(records->size(), 3u);
     for (const JournalRecord &rec : *records)
@@ -312,7 +496,7 @@ TEST(SweepJournalTest, JournalWritesLoadAndResumeSkipsCompletedJobs)
 TEST(SweepJournalTest, MissingJournalLoadsEmpty)
 {
     Result<std::vector<JournalRecord>> records =
-        SweepJournal::load("/tmp/libra_journal_does_not_exist.jsonl");
+        loadSweepJournal("/tmp/libra_journal_does_not_exist.jsonl");
     ASSERT_TRUE(records.isOk());
     EXPECT_TRUE(records->empty());
 }
@@ -346,7 +530,7 @@ TEST(SweepJournalTest, KillAndResumeReportIsByteIdentical)
 
     // The torn trailing line must not poison the load.
     Result<std::vector<JournalRecord>> records =
-        SweepJournal::load(journal.str());
+        loadSweepJournal(journal.str());
     ASSERT_TRUE(records.isOk()) << records.status().toString();
     ASSERT_EQ(records->size(), 1u);
     EXPECT_TRUE(records->front().ok);
@@ -387,15 +571,16 @@ TEST(SweepJournalTest, DuplicateEntriesForOneKeyReplayLastWriteWins)
     // distinguishable from the genuine result.
     const std::string key0 = sweepJobKey(smallJobs(ccs)[0]);
     {
-        Result<SweepJournal> j = SweepJournal::open(journal.str());
-        ASSERT_TRUE(j.isOk()) << j.status().toString();
+        Journal j;
+        Status opened = j.open(journal.str(), Journal::Mode::Append);
+        ASSERT_TRUE(opened.isOk()) << opened.toString();
         JournalRecord dup;
         dup.key = key0;
         dup.ok = true;
         dup.attempts = 7;
         dup.result = *first.jobs[0].result;
         dup.result.counters["journal.duplicate_marker"] = 1;
-        ASSERT_TRUE(j->append(dup).isOk());
+        ASSERT_TRUE(j.append(sweepJournalLine(dup)).isOk());
     }
 
     policy.resume = true;
@@ -437,15 +622,16 @@ TEST(SweepJournalTest, FailureRecordAfterSuccessDoesNotMaskReplay)
     ASSERT_EQ(first.failureCount(), 0u);
 
     {
-        Result<SweepJournal> j = SweepJournal::open(journal.str());
-        ASSERT_TRUE(j.isOk()) << j.status().toString();
+        Journal j;
+        Status opened = j.open(journal.str(), Journal::Mode::Append);
+        ASSERT_TRUE(opened.isOk()) << opened.toString();
         JournalRecord failed;
         failed.key = sweepJobKey(smallJobs(ccs)[1]);
         failed.ok = false;
         failed.attempts = 1;
         failed.code = ErrorCode::Unavailable;
         failed.message = "fabricated post-success failure";
-        ASSERT_TRUE(j->append(failed).isOk());
+        ASSERT_TRUE(j.append(sweepJournalLine(failed)).isOk());
     }
 
     SweepPolicy resuming;
@@ -482,7 +668,7 @@ TEST(SweepJournalTest, DuplicateReplayIsByteIdenticalToCleanRun)
                   .failureCount(),
               0u);
     Result<std::vector<JournalRecord>> records =
-        SweepJournal::load(journal.str());
+        loadSweepJournal(journal.str());
     ASSERT_TRUE(records.isOk());
     EXPECT_EQ(records->size(), 6u); // 3 jobs x 2 appends
 

@@ -246,7 +246,7 @@ TEST(TraceCorruption, FailedLoadResetsPreviousContent)
 
 // --- Injector-generated corpus (fault_injector.hh::corruptTrace) -----
 //
-// The seeded corruption generator used by the chaos-soak CI job must
+// The seeded corruption generator used by the chaos soak must
 // uphold the same contract the hand-crafted cases above pin down: a
 // damaged file is rejected with a recoverable Status (or, for payload
 // bit flips, loads ok) — never a crash, overread or half-loaded trace.
