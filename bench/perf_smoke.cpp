@@ -27,14 +27,22 @@
  * percent and the MAD quantifies how trustworthy this particular run
  * was.
  *
- * Regression gate: --baseline FILE compares this run's medians against
- * a previously written results file (e.g. the committed
- * BENCH_baseline.json) and exits non-zero when the wall-time geomean
- * regresses by more than --tolerance percent (default 10). A fixed
- * arithmetic calibration loop is timed in both runs and its ratio
- * rescales the baseline, so a comparison on a faster/slower machine
- * than the one that wrote the baseline still measures the *simulator*,
- * not the host.
+ * Regression gate: --baseline FILE compares this run against a
+ * previously written results file (e.g. the committed
+ * BENCH_baseline.json) and exits non-zero when
+ *   - the baseline describes a different workload (title, resolution,
+ *     frames) or a different sweep worker count (--jobs);
+ *   - the event count differs: the count is deterministic, so any
+ *     change means the model changed, and a model change re-records
+ *     the baseline;
+ *   - any one of the event-loop, traced and sweep wall-time medians
+ *     regresses by more than --tolerance percent (default 10). Each is
+ *     gated on its own: a geomean let a single-thread regression hide
+ *     behind a sweep that scales with the host's CPUs.
+ * A fixed arithmetic calibration loop is timed in both runs and its
+ * ratio rescales the baseline, so a comparison on a faster/slower
+ * machine than the one that wrote the baseline still measures the
+ * *simulator*, not the host.
  *
  * Results land in BENCH_sweep.json (override with --out FILE) so CI can
  * archive them per commit and trend them; the same file format is what
@@ -446,13 +454,23 @@ main(int argc, char **argv)
         fatal("--baseline ", baseline_path,
               " was recorded for a different workload");
     }
+    // The sweep time depends on the worker count; comparing runs with
+    // different --jobs would gate the host, not the simulator.
+    const double base_workers = jsonNumber(base, "sweep_workers");
+    if (base_workers != runner.workers()) {
+        fatal("--baseline ", baseline_path, " was recorded with ",
+              base_workers, " sweep worker(s), this run has ",
+              runner.workers(), ": rerun with --jobs ", base_workers);
+    }
 
+    // The event count is deterministic: a mismatch means the model
+    // changed, and a model change re-records the baseline.
     const auto base_events =
         static_cast<std::uint64_t>(jsonNumber(base, "events"));
-    if (base_events != events) {
-        std::printf("baseline: NOTE event count changed %llu -> %llu "
-                    "(semantic change; wall-time comparison still "
-                    "applies, diff_check guards equivalence)\n",
+    const bool events_changed = base_events != events;
+    if (events_changed) {
+        std::printf("baseline: EVENTS CHANGED %llu -> %llu — the model "
+                    "changed; re-record the baseline\n",
                     static_cast<unsigned long long>(base_events),
                     static_cast<unsigned long long>(events));
     }
@@ -478,20 +496,21 @@ main(int argc, char **argv)
     std::printf("baseline: comparing against %s "
                 "(host scale %.3fx, tolerance %.1f%%)\n",
                 baseline_path.c_str(), host_scale, tolerance);
-    double log_sum = 0.0;
+    int regressions = 0;
     for (const Metric &m : metrics) {
         const double base_median =
             jsonNumber(base, m.key) * host_scale;
         const double ratio =
             base_median > 0.0 ? m.now / base_median : 1.0;
-        log_sum += std::log(ratio);
-        std::printf("  %-11s: %.3f s vs %.3f s  (%.2fx)\n", m.name,
-                    m.now, base_median, ratio);
+        const bool regressed = ratio > 1.0 + tolerance / 100.0;
+        regressions += regressed;
+        std::printf("  %-11s: %.3f s vs %.3f s  (%.2fx)  %s\n", m.name,
+                    m.now, base_median, ratio,
+                    regressed ? "REGRESSION" : "ok");
     }
-    const double geomean =
-        std::exp(log_sum / std::size(metrics));
-    const bool regressed = geomean > 1.0 + tolerance / 100.0;
-    std::printf("baseline: wall-time geomean ratio %.3fx — %s\n",
-                geomean, regressed ? "REGRESSION" : "ok");
-    return regressed ? 1 : 0;
+    const bool failed = events_changed || regressions != 0;
+    std::printf("baseline: %s\n",
+                failed ? "FAILED" : "ok (events exact, every wall time "
+                                    "within tolerance)");
+    return failed ? 1 : 0;
 }

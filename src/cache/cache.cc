@@ -88,15 +88,15 @@ Cache::installLine(Addr line_addr, bool dirty)
                                TrafficClass::ParameterBuffer, invalidId,
                                nullptr});
         }
-        if (onEvict)
-            onEvict(line.tag);
+        if (replication)
+            replication->recordEvict(line.tag);
     }
     line.valid = true;
     line.dirty = dirty;
     line.tag = line_addr;
     line.lruStamp = ++lruClock;
-    if (onInstall)
-        onInstall(line_addr);
+    if (replication)
+        replication->recordInstall(line_addr);
 }
 
 Tick
@@ -167,18 +167,18 @@ Cache::handleFill(Addr line_addr, Tick when)
     while (!freeMshrs.empty() && !stalledReqs.empty()) {
         MemReq req = std::move(stalledReqs.front());
         stalledReqs.pop_front();
-        accessImpl(std::move(req), true);
+        accessImpl(req, true);
     }
 }
 
 void
 Cache::access(MemReq req)
 {
-    accessImpl(std::move(req), false);
+    accessImpl(req, false);
 }
 
 void
-Cache::accessImpl(MemReq req, bool is_retry)
+Cache::accessImpl(MemReq &req, bool is_retry)
 {
     // Split multi-line requests into independent line accesses; the
     // caller's callback fires when the last line completes.
@@ -199,7 +199,7 @@ Cache::accessImpl(MemReq req, bool is_retry)
             part.cls = req.cls;
             part.tileTag = req.tileTag;
             part.onComplete = splitJoinPart(join);
-            accessImpl(std::move(part), is_retry);
+            accessImpl(part, is_retry);
         }
         return;
     }
@@ -221,10 +221,8 @@ Cache::accessImpl(MemReq req, bool is_retry)
             ++hits;
         if (req.onComplete) {
             const Tick done = start + config.hitLatency;
-            auto cb = std::move(req.onComplete);
-            queue.schedule(done, [cb = std::move(cb), done]() mutable {
-                cb(done);
-            });
+            queue.schedule(done, [cb = std::move(req.onComplete),
+                                  done]() mutable { cb(done); });
         }
         return;
     }
@@ -242,10 +240,8 @@ Cache::accessImpl(MemReq req, bool is_retry)
             line.dirty = true;
         if (req.onComplete) {
             const Tick done = start + config.hitLatency;
-            auto cb = std::move(req.onComplete);
-            queue.schedule(done, [cb = std::move(cb), done]() mutable {
-                cb(done);
-            });
+            queue.schedule(done, [cb = std::move(req.onComplete),
+                                  done]() mutable { cb(done); });
         }
         return;
     }
@@ -265,8 +261,7 @@ Cache::accessImpl(MemReq req, bool is_retry)
 
     // Streaming writes bypass allocation when configured to.
     if (req.write && !config.writeAllocate) {
-        MemReq fwd = std::move(req);
-        next.access(std::move(fwd));
+        next.access(std::move(req));
         return;
     }
 
@@ -301,8 +296,8 @@ Cache::invalidateAll()
                                TrafficClass::ParameterBuffer, invalidId,
                                nullptr});
         }
-        if (line.valid && onEvict)
-            onEvict(line.tag);
+        if (line.valid && replication)
+            replication->recordEvict(line.tag);
         line.valid = false;
         line.dirty = false;
     }

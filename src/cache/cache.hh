@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -90,9 +89,9 @@ class Cache : public MemSink
     /** Restore what saveState() wrote (geometry must match). */
     void loadState(SnapshotReader &r);
 
-    /** Install/evict hooks for cross-cache replication tracking. */
-    std::function<void(Addr)> onInstall;
-    std::function<void(Addr)> onEvict;
+    /** Replication observer told of every install and eviction; set
+     *  by ReplicationTracker::attach(), null when untracked. */
+    ReplicationTracker *replication = nullptr;
 
     // Statistics.
     Counter hits;
@@ -140,8 +139,10 @@ class Cache : public MemSink
 
     Addr lineAddr(Addr addr) const { return addr & ~(Addr(config.lineBytes) - 1); }
 
-    /** Shared implementation; retried requests skip the counters. */
-    void accessImpl(MemReq req, bool is_retry);
+    /** Shared implementation; retried requests skip the counters.
+     *  Takes @p req by reference so its callback moves only into the
+     *  completion event, MSHR waiter list or stall queue. */
+    void accessImpl(MemReq &req, bool is_retry);
     std::size_t setIndex(Addr line_addr) const;
 
     /** Probe the set; returns way index or -1. */

@@ -6,6 +6,7 @@
 
 #include "cache/cache.hh"
 #include "check/snapshot.hh"
+#include "common/log.hh"
 
 namespace libra
 {
@@ -13,19 +14,9 @@ namespace libra
 void
 ReplicationTracker::attach(Cache &cache)
 {
-    // Chain behind any existing hooks so multiple observers compose.
-    auto prev_install = cache.onInstall;
-    cache.onInstall = [this, prev_install](Addr line) {
-        recordInstall(line);
-        if (prev_install)
-            prev_install(line);
-    };
-    auto prev_evict = cache.onEvict;
-    cache.onEvict = [this, prev_evict](Addr line) {
-        recordEvict(line);
-        if (prev_evict)
-            prev_evict(line);
-    };
+    libra_assert(cache.replication == nullptr,
+                 cache.cfg().name, ": already has a replication tracker");
+    cache.replication = this;
 }
 
 void

@@ -121,12 +121,9 @@ class IdealMemory : public MemSink
         if (lat == 0) {
             req.onComplete(queue.now());
         } else {
-            auto cb = std::move(req.onComplete);
             const Tick done = queue.now() + lat;
-            queue.schedule(done,
-                           [cb = std::move(cb), done]() mutable {
-                               cb(done);
-                           });
+            queue.schedule(done, [cb = std::move(req.onComplete),
+                                  done]() mutable { cb(done); });
         }
     }
 
@@ -153,8 +150,14 @@ class SnapshotReader;
 class ReplicationTracker
 {
   public:
-    /** Register a sibling cache's install/evict hooks. */
+    /** Make this tracker @p cache's replication observer. */
     void attach(Cache &cache);
+
+    /** A sibling installed @p line (called by the attached Cache). */
+    void recordInstall(Addr line);
+
+    /** A sibling evicted @p line (called by the attached Cache). */
+    void recordEvict(Addr line);
 
     std::uint64_t installs() const { return totalInstalls; }
     std::uint64_t replicatedInstalls() const { return replicated; }
@@ -189,11 +192,8 @@ class ReplicationTracker
     void importState(SnapshotReader &r);
 
   private:
-    void recordInstall(Addr line);
-    void recordEvict(Addr line);
-
     /** Sized for a texture-heavy L1 working set; grows if exceeded. The
-     *  install/evict hooks fire on every L1 line turn-over, so this map
+     *  install/evict calls run on every L1 line turn-over, so this map
      *  shares the open-addressed design of the MSHR index. */
     OpenAddrMap<std::uint32_t> refCount{4096};
     std::uint64_t totalInstalls = 0;

@@ -165,10 +165,8 @@ Dram::issue(Channel &channel, Request &req)
                                 req.arrival, complete, row_hit});
     }
     if (req.onComplete) {
-        auto cb = std::move(req.onComplete);
-        queue.schedule(complete, [cb = std::move(cb), complete]() mutable {
-            cb(complete);
-        });
+        queue.schedule(complete, [cb = std::move(req.onComplete),
+                                  complete]() mutable { cb(complete); });
     }
     return complete;
 }

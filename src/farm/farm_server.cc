@@ -3,6 +3,9 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -691,6 +694,13 @@ FarmServer::workerLoop()
             quarantine.record(task->key.configHash, task->failure.code());
         }
         finishTask(task);
+#if defined(__GLIBC__)
+        // Hand the simulation's freed memory back to the OS once the
+        // reply is out. glibc keeps each thread's arena at its high-water
+        // mark, so without this a resident server's footprint ratchets up
+        // with every simulation run on a new or different thread.
+        malloc_trim(0);
+#endif
     }
 }
 

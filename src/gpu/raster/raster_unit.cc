@@ -322,6 +322,7 @@ RasterUnit::emitWarp(TileCtx &ctx, const Triangle &tri,
     task.quadCount = static_cast<std::uint32_t>(quads.size());
     task.aluOps = tri.shaderAluOps;
     task.blend = tri.blend;
+    task.texLines.reserve(quads.size() * tri.texSamples);
     for (const Quad &quad : quads) {
         task.fragments += static_cast<std::uint32_t>(quad.coveredCount());
         for (std::uint8_t s = 0; s < tri.texSamples; ++s) {
@@ -425,9 +426,14 @@ RasterUnit::onWarpRetired(TileCtx *ctx, std::uint32_t seq,
     texRequests += info.texRequests;
     fragmentsShaded += info.fragments;
 
-    ctx->retired.emplace(seq,
-                         TileCtx::RetiredWarp{info, std::move(quads),
-                                              prim_id, prim_sig});
+    libra_assert(seq >= ctx->nextCommit, "warp ", seq,
+                 " retired after its blend commit");
+    const std::size_t slot = seq - ctx->nextCommit;
+    if (slot >= ctx->retired.size())
+        ctx->retired.resize(slot + 1);
+    libra_assert(!ctx->retired[slot], "warp ", seq, " retired twice");
+    ctx->retired[slot].emplace(
+        TileCtx::RetiredWarp{info, std::move(quads), prim_id, prim_sig});
     commitReadyWarps(*ctx);
     dispatchPending();
     maybeCompleteTile();
@@ -439,9 +445,8 @@ RasterUnit::commitReadyWarps(TileCtx &ctx)
     // Blending commits strictly in warp-assembly (program) order, as a
     // real ROP reorder queue does — overlapping primitives must blend
     // in submission order for the output to be schedule-independent.
-    auto it = ctx.retired.find(ctx.nextCommit);
-    while (it != ctx.retired.end()) {
-        const TileCtx::RetiredWarp &rw = it->second;
+    while (!ctx.retired.empty() && ctx.retired.front()) {
+        const TileCtx::RetiredWarp &rw = *ctx.retired.front();
         const Tick ready = std::max(queue.now(), rw.info.shadedAt);
         const Tick blend_done =
             ctx.blender.acceptQuads(ready, rw.info.quadCount);
@@ -465,9 +470,8 @@ RasterUnit::commitReadyWarps(TileCtx &ctx)
             for (const Quad &quad : rw.quads)
                 ctx.blender.blendQuad(quad, rw.primId);
         }
-        ctx.retired.erase(it);
+        ctx.retired.pop_front();
         ++ctx.nextCommit;
-        it = ctx.retired.find(ctx.nextCommit);
     }
 }
 

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -348,7 +347,9 @@ class RasterUnit : public RasterSink
             std::uint32_t primId;
             std::uint64_t primSig;
         };
-        std::map<std::uint32_t, RetiredWarp> retired;
+        /** Reorder window: entry i holds warp nextCommit + i once it
+         *  has retired; the front commits as soon as it is filled. */
+        std::deque<std::optional<RetiredWarp>> retired;
     };
 
     /** A warp assembled but not yet dispatched to a core. */

@@ -72,13 +72,6 @@ TriangleSetup::TriangleSetup(const Triangle &tri, const Texture &tex)
         : 0;
 }
 
-float
-TriangleSetup::edgeAt(int i, float x, float y) const
-{
-    const Vec2 p{x, y};
-    return cross2(edgeVec[i], p - v[i]);
-}
-
 void
 TriangleSetup::rasterize(const IRect &rect, RasterOutput &out) const
 {
@@ -102,7 +95,50 @@ TriangleSetup::rasterize(const IRect &rect, RasterOutput &out) const
     const std::int32_t qx0 = box.x0 & ~1;
     const std::int32_t qy0 = box.y0 & ~1;
 
+    // Edge i at pixel center (cx, cy) is cross2(edgeVec[i], p - v[i]) =
+    // edgeVec[i].x * (cy - v[i].y) - edgeVec[i].y * (cx - v[i].x). The
+    // first product depends only on the pixel row and the second only
+    // on the pixel column, so each is computed once per row / column
+    // and every pixel test is the same two products and one
+    // subtraction: bit-identical to evaluating cross2 per pixel. Depth
+    // is hoisted the same way, keeping its (z0 + x term) + y term order.
+    const std::size_t cols =
+        static_cast<std::size_t>((box.x1 - qx0 + 1) & ~1);
+    constexpr std::size_t kStackCols = 128;
+    float stack_cols[4 * kStackCols];
+    std::vector<float> heap_cols; // only for boxes over 128 px wide
+    float *col_buf = stack_cols;
+    if (cols > kStackCols) {
+        heap_cols.resize(4 * cols);
+        col_buf = heap_cols.data();
+    }
+    float *const edge_col[3] = {col_buf, col_buf + cols,
+                                col_buf + 2 * cols};
+    float *const z_col = col_buf + 3 * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+        const float cx =
+            static_cast<float>(qx0 + static_cast<std::int32_t>(c)) + 0.5f;
+        for (int e = 0; e < 3; ++e)
+            edge_col[e][c] = edgeVec[e].y * (cx - v[e].x);
+        z_col[c] = dzdx * (cx - v[0].x);
+    }
+
     for (std::int32_t qy = qy0; qy < box.y1; qy += 2) {
+        float edge_row[2][3];
+        float z_row[2];
+        bool row_in[2];
+        for (int r = 0; r < 2; ++r) {
+            const std::int32_t py = qy + r;
+            const float cy = static_cast<float>(py) + 0.5f;
+            for (int e = 0; e < 3; ++e)
+                edge_row[r][e] = edgeVec[e].x * (cy - v[e].y);
+            z_row[r] = dzdy * (cy - v[0].y);
+            row_in[r] = py >= rect.y0 && py < rect.y1;
+        }
+        const float quad_cy = static_cast<float>(qy) + 1.0f;
+        const Vec2 uv_row{dudy.x * (quad_cy - v[0].y),
+                          dudy.y * (quad_cy - v[0].y)};
+
         for (std::int32_t qx = qx0; qx < box.x1; qx += 2) {
             ++out.blocksScanned;
             Quad quad;
@@ -112,31 +148,26 @@ TriangleSetup::rasterize(const IRect &rect, RasterOutput &out) const
 
             for (int bit = 0; bit < 4; ++bit) {
                 const std::int32_t px = qx + (bit & 1);
-                const std::int32_t py = qy + (bit >> 1);
-                if (!rect.contains(px, py))
+                const int r = bit >> 1;
+                if (!row_in[r] || px < rect.x0 || px >= rect.x1)
                     continue;
-                const float cx = static_cast<float>(px) + 0.5f;
-                const float cy = static_cast<float>(py) + 0.5f;
+                const std::size_t c = static_cast<std::size_t>(px - qx0);
                 bool inside = true;
                 for (int e = 0; e < 3 && inside; ++e) {
-                    const float w = edgeAt(e, cx, cy);
+                    const float w = edge_row[r][e] - edge_col[e][c];
                     if (w < 0.0f || (w == 0.0f && !edgeAccepts[e]))
                         inside = false;
                 }
                 if (!inside)
                     continue;
                 quad.mask |= static_cast<std::uint8_t>(1 << bit);
-                quad.z[bit] = z0 + dzdx * (cx - v[0].x)
-                    + dzdy * (cy - v[0].y);
+                quad.z[bit] = z0 + z_col[c] + z_row[r];
             }
 
             if (quad.mask != 0) {
                 const float cx = static_cast<float>(qx) + 1.0f;
-                const float cy = static_cast<float>(qy) + 1.0f;
-                quad.uv = {uv0.x + dudx.x * (cx - v[0].x)
-                               + dudy.x * (cy - v[0].y),
-                           uv0.y + dudx.y * (cx - v[0].x)
-                               + dudy.y * (cy - v[0].y)};
+                quad.uv = {uv0.x + dudx.x * (cx - v[0].x) + uv_row.x,
+                           uv0.y + dudx.y * (cx - v[0].x) + uv_row.y};
                 out.quads.push_back(quad);
             }
         }

@@ -64,9 +64,6 @@ class TriangleSetup
     float texelsPerPixel() const { return _texelsPerPixel; }
 
   private:
-    /** Edge function value of edge i at pixel center (x+.5, y+.5). */
-    float edgeAt(int i, float x, float y) const;
-
     Vec2 v[3];       //!< winding-normalized positions
     Vec2 uvs[3];
     float zs[3];

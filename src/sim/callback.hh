@@ -15,8 +15,11 @@
  * Semantics:
  *  - move-only (like the unique_function proposals); moving transfers
  *    the callable, the moved-from callback becomes empty.
- *  - the wrapped callable must be nothrow-move-constructible (events
- *    relocate when the event-heap vector grows).
+ *  - the wrapped callable must be nothrow-move-constructible (pending
+ *    events relocate when the event queue's slot pool grows).
+ *  - emplace() builds a callable directly inside an existing callback,
+ *    so a producer that owns the storage (the event queue's pool)
+ *    skips the intermediate callback and its relocation.
  *  - invoking an empty callback is a simulator bug (asserted).
  */
 
@@ -49,20 +52,7 @@ class SmallCallback<R(Args...), Capacity>
                   && !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
     SmallCallback(F &&fn)
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= Capacity,
-                      "capture too large for this SmallCallback: shrink "
-                      "the lambda's capture list (move shared state into "
-                      "one heap/shared_ptr block) or raise the capacity");
-        static_assert(alignof(Fn) <= kAlign,
-                      "over-aligned captures are not supported");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "captures must be nothrow-movable (events relocate "
-                      "when the event heap grows)");
-        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
-                      "callable signature mismatch");
-        ::new (static_cast<void *>(storage)) Fn(std::forward<F>(fn));
-        ops = &opsFor<Fn>;
+        emplace(std::forward<F>(fn));
     }
 
     SmallCallback(SmallCallback &&other) noexcept
@@ -92,6 +82,28 @@ class SmallCallback<R(Args...), Capacity>
     SmallCallback &operator=(const SmallCallback &) = delete;
 
     ~SmallCallback() { reset(); }
+
+    /** Destroy any held callable, then construct @p fn in place. */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= Capacity,
+                      "capture too large for this SmallCallback: shrink "
+                      "the lambda's capture list (move shared state into "
+                      "one heap/shared_ptr block) or raise the capacity");
+        static_assert(alignof(Fn) <= kAlign,
+                      "over-aligned captures are not supported");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "captures must be nothrow-movable (pending events "
+                      "relocate when the event queue's pool grows)");
+        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
+                      "callable signature mismatch");
+        reset();
+        ::new (static_cast<void *>(storage)) Fn(std::forward<F>(fn));
+        ops = &opsFor<Fn>;
+    }
 
     explicit operator bool() const { return ops != nullptr; }
 

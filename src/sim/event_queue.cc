@@ -1,85 +1,114 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/snapshot.hh"
-#include "common/log.hh"
 
 namespace libra
 {
 
-std::uint32_t
-EventQueue::acquireSlot(EventCallback &&cb)
+EventQueue::EventQueue()
 {
-    if (!freeSlots.empty()) {
-        const std::uint32_t slot = freeSlots.back();
-        freeSlots.pop_back();
-        slots[slot] = std::move(cb);
-        return slot;
-    }
-    const std::uint32_t slot = static_cast<std::uint32_t>(slots.size());
-    slots.push_back(std::move(cb));
-    return slot;
+    slots.reserve(kInitialCapacity);
+    freeSlots.reserve(kInitialCapacity);
 }
 
 void
-EventQueue::schedule(Tick when, EventCallback cb)
+EventQueue::enqueue(Tick when, std::uint32_t slot)
 {
-    libra_assert(when >= curTick,
-                 "scheduling in the past: ", when, " < ", curTick);
-    const std::uint32_t slot = acquireSlot(std::move(cb));
-    if (when == curTick) {
-        // Same-tick batch: FIFO order is (when, seq) order here, since
-        // every heap entry at curTick was scheduled before the tick
-        // started and therefore carries a smaller seq.
-        ++nextSeq;
-        nowQ.push_back(slot);
+    const std::uint64_t seq = nextSeq++;
+    if (when - curTick >= kWheelTicks) {
+        far.push_back(FarEntry{when, seq, slot});
+        std::push_heap(far.begin(), far.end(), Later{});
         return;
     }
-    heap.push_back(HeapEntry{when, nextSeq++, slot});
-    std::push_heap(heap.begin(), heap.end(), Later{});
+    // Within the horizon, so bucket b holds exactly one tick; appending
+    // keeps it in seq order.
+    const std::size_t b = when & kWheelMask;
+    std::uint64_t &word = occupied[b / 64];
+    const std::uint64_t bit = std::uint64_t(1) << (b % 64);
+    slots[slot].next = kNoSlot;
+    if (word & bit)
+        slots[bucketTail[b]].next = slot;
+    else
+        bucketHead[b] = slot;
+    word |= bit;
+    bucketTail[b] = slot;
+    ++nearCount;
+}
+
+Tick
+EventQueue::nextNearTick() const
+{
+    // Scan the bitmap circularly from curTick's bucket: every bucket
+    // entry lies within one horizon of curTick, so the first set bit is
+    // the earliest tick. The start word is visited twice — first its
+    // bits at or after the start, finally (after wrapping) the rest.
+    const std::size_t start = curTick & kWheelMask;
+    std::size_t w = start / 64;
+    std::uint64_t bits = occupied[w] & (~std::uint64_t(0) << (start % 64));
+    for (std::size_t i = 0; i <= kWheelWords; ++i) {
+        if (bits != 0) {
+            const std::size_t b =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            return curTick + ((b - start) & kWheelMask);
+        }
+        w = (w + 1) % kWheelWords;
+        bits = occupied[w];
+    }
+    panic("timing wheel count says non-empty, bitmap says empty");
+}
+
+Tick
+EventQueue::nextEventTick() const
+{
+    const Tick near = nearCount != 0 ? nextNearTick() : maxTick;
+    return far.empty() ? near : std::min(near, far.front().when);
 }
 
 void
 EventQueue::runSlot(std::uint32_t slot)
 {
     // Move the callback out before invoking: the callback may schedule
-    // new events, which may recycle this very slot.
-    EventCallback cb = std::move(slots[slot]);
+    // new events, which may grow the pool or recycle this very slot.
+    EventCallback cb = std::move(slots[slot].cb);
     freeSlots.push_back(slot);
     ++executed;
     cb();
 }
 
 bool
-EventQueue::runOne()
+EventQueue::runNext(Tick limit)
 {
-    // Heap entries at curTick always precede the same-tick batch (their
-    // seq is smaller); the batch precedes any strictly later tick.
-    if (!heap.empty() && heap.front().when == curTick) {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        const std::uint32_t slot = heap.back().slot;
-        heap.pop_back();
-        runSlot(slot);
+    const Tick near = nearCount != 0 ? nextNearTick() : maxTick;
+    // A far event ties with the bucket of its tick only by having been
+    // scheduled a horizon earlier, i.e. with a smaller seq: it runs
+    // first.
+    if (!far.empty() && far.front().when <= near) {
+        if (far.front().when > limit)
+            return false;
+        std::pop_heap(far.begin(), far.end(), Later{});
+        const FarEntry e = far.back();
+        far.pop_back();
+        libra_assert(e.when >= curTick, "far heap returned a past event");
+        curTick = e.when;
+        runSlot(e.slot);
         return true;
     }
-    if (nowHead != nowQ.size()) {
-        const std::uint32_t slot = nowQ[nowHead++];
-        if (nowHead == nowQ.size()) {
-            nowQ.clear();
-            nowHead = 0;
-        }
-        runSlot(slot);
-        return true;
-    }
-    if (heap.empty())
+    if (nearCount == 0 || near > limit)
         return false;
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    const HeapEntry e = heap.back();
-    heap.pop_back();
-    libra_assert(e.when >= curTick, "heap returned a past event");
-    curTick = e.when;
-    runSlot(e.slot);
+
+    const std::size_t b = near & kWheelMask;
+    const std::uint32_t slot = bucketHead[b];
+    const std::uint32_t next = slots[slot].next;
+    if (next == kNoSlot)
+        occupied[b / 64] &= ~(std::uint64_t(1) << (b % 64));
+    else
+        bucketHead[b] = next;
+    --nearCount;
+    curTick = near;
+    runSlot(slot);
     return true;
 }
 
@@ -87,10 +116,8 @@ std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t count = 0;
-    while (!empty() && nextEventTick() <= limit) {
-        runOne();
+    while (runNext(limit))
         ++count;
-    }
     return count;
 }
 

@@ -11,32 +11,34 @@
  * Performance (the simulator's own hot path — a single FHD frame is
  * hundreds of thousands of events):
  *
- *  - The priority heap holds 24-byte POD entries {when, seq, slot};
- *    callbacks live in a side pool and never move during heap sifts.
- *    The old design kept the 48-byte SmallCallback inside the heap
- *    element, so every sift step paid an indirect relocate call (and a
- *    nested one for captured MemCallbacks) — the single largest cost in
- *    the whole simulator under gprof.
- *  - Callback slots are recycled through a free-list, so steady-state
- *    scheduling performs no allocation.
- *  - Events scheduled for the *current* tick bypass the heap entirely:
- *    they are appended to a same-tick FIFO batch and popped in O(1).
- *    This is order-correct because every heap entry for the current
- *    tick predates (has a smaller seq than) anything appended to the
- *    batch after the tick started.
+ *  - Almost every event lands a few ticks ahead (a 2-cycle L1 hit, a
+ *    DRAM burst), so the queue is a timing wheel: one FIFO bucket per
+ *    tick of a fixed 256-tick horizon, threaded through a per-slot
+ *    `next` index so appending and popping never allocate, plus an
+ *    occupancy bitmap that finds the next non-empty bucket with a few
+ *    word scans. Only events at least a horizon ahead go to a small
+ *    (when, seq) min-heap.
+ *  - Callbacks live in a pool of slots recycled through a free-list and
+ *    are built in place (SmallCallback::emplace), so steady-state
+ *    scheduling performs no allocation and no callback relocation.
+ *  - Far events drain before the bucket of the same tick: a far event
+ *    for tick T was scheduled at or before T - 256 and a bucket entry
+ *    for T strictly after it, so the far event has the smaller seq.
  *
  * The observable semantics — execution in (when, seq) order — are
- * identical to the original heap-of-events design; the differential
- * equivalence suite pins that down with byte-identical counter dumps.
+ * identical to a heap-of-events design; the differential equivalence
+ * suite pins that down with byte-identical counter dumps.
  */
 
 #ifndef LIBRA_SIM_EVENT_QUEUE_HH
 #define LIBRA_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "sim/callback.hh"
 
@@ -58,8 +60,8 @@ class SnapshotReader;
 using EventCallback = SmallCallback<void(), 40>;
 
 /**
- * Deterministic event queue: POD min-heap over pooled callback slots,
- * with a same-tick FIFO fast path.
+ * Deterministic event queue: a timing wheel of per-tick FIFO buckets
+ * over pooled callback slots, with a min-heap for far-future events.
  *
  * A simulation owns exactly one EventQueue; components keep a reference
  * and schedule callbacks against it. Time only moves forward: scheduling
@@ -68,48 +70,49 @@ using EventCallback = SmallCallback<void(), 40>;
 class EventQueue
 {
   public:
-    EventQueue()
-    {
-        heap.reserve(kInitialCapacity);
-        slots.reserve(kInitialCapacity);
-        freeSlots.reserve(kInitialCapacity);
-        nowQ.reserve(kInitialCapacity);
-    }
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulation time. */
     Tick now() const { return curTick; }
 
-    /** Schedule @p cb to run at absolute tick @p when (>= now()). */
-    void schedule(Tick when, EventCallback cb);
-
-    /** Schedule @p cb to run @p delta ticks from now. */
-    void scheduleAfter(Tick delta, EventCallback cb)
+    /**
+     * Schedule @p fn (any nullary callable that fits an EventCallback)
+     * to run at absolute tick @p when (>= now()). The callable is
+     * constructed directly in its pool slot.
+     */
+    template <typename F>
+    void
+    schedule(Tick when, F &&fn)
     {
-        schedule(curTick + delta, std::move(cb));
+        libra_assert(when >= curTick,
+                     "scheduling in the past: ", when, " < ", curTick);
+        const std::uint32_t slot = acquireSlot();
+        slots[slot].cb.emplace(std::forward<F>(fn));
+        enqueue(when, slot);
     }
 
-    bool empty() const { return heap.empty() && nowHead == nowQ.size(); }
-
-    std::size_t pending() const
+    /** Schedule @p fn to run @p delta ticks from now. */
+    template <typename F>
+    void
+    scheduleAfter(Tick delta, F &&fn)
     {
-        return heap.size() + (nowQ.size() - nowHead);
+        schedule(curTick + delta, std::forward<F>(fn));
     }
+
+    bool empty() const { return nearCount == 0 && far.empty(); }
+
+    std::size_t pending() const { return nearCount + far.size(); }
 
     /** Tick of the earliest pending event (maxTick when empty). */
-    Tick nextEventTick() const
-    {
-        if (nowHead != nowQ.size())
-            return curTick;
-        return heap.empty() ? maxTick : heap.front().when;
-    }
+    Tick nextEventTick() const;
 
     /**
      * Pop and execute the earliest event, advancing now().
      * @return false when the queue was empty.
      */
-    bool runOne();
+    bool runOne() { return runNext(maxTick); }
 
     /**
      * Run until the queue drains or the next event is past @p limit.
@@ -131,19 +134,31 @@ class EventQueue
     void importState(SnapshotReader &r);
 
   private:
+    /** Wheel horizon in ticks: events less than this far ahead go to
+     *  a bucket. A constant, not a knob — it only moves the boundary
+     *  between bucket and heap, never the execution order. */
+    static constexpr std::size_t kWheelTicks = 256;
+    static constexpr Tick kWheelMask = kWheelTicks - 1;
+    static constexpr std::size_t kWheelWords = kWheelTicks / 64;
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+
     /**
-     * Pre-reserved capacity of the heap, the callback pool and its
-     * free-list. Scheduling is allocation-free until the number of
-     * *pending* events first exceeds this (the vectors then grow
-     * geometrically, as usual).
+     * Pre-reserved capacity of the callback pool and its free-list.
+     * Scheduling is allocation-free until the number of *pending*
+     * events first exceeds this (the vectors then grow geometrically,
+     * as usual).
      */
     static constexpr std::size_t kInitialCapacity = 1024;
 
-    /**
-     * Heap element: plain data only, so sifts are branch-light memcpys.
-     * The callback stays put in slots[slot] until execution.
-     */
-    struct HeapEntry
+    /** One pooled callback; `next` links it into its bucket's FIFO. */
+    struct Slot
+    {
+        EventCallback cb;
+        std::uint32_t next = kNoSlot;
+    };
+
+    /** Far-heap element: plain data, the callback stays in its slot. */
+    struct FarEntry
     {
         Tick when;
         std::uint64_t seq;
@@ -153,7 +168,7 @@ class EventQueue
     struct Later
     {
         bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
+        operator()(const FarEntry &a, const FarEntry &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -161,26 +176,50 @@ class EventQueue
         }
     };
 
-    /** Take a pool slot for @p cb (free-list first, then grow). */
-    std::uint32_t acquireSlot(EventCallback &&cb);
+    /** Take a pool slot (free-list first, then grow). */
+    std::uint32_t
+    acquireSlot()
+    {
+        if (!freeSlots.empty()) {
+            const std::uint32_t slot = freeSlots.back();
+            freeSlots.pop_back();
+            return slot;
+        }
+        slots.emplace_back();
+        return static_cast<std::uint32_t>(slots.size() - 1);
+    }
+
+    /** Queue the filled slot @p slot for tick @p when. */
+    void enqueue(Tick when, std::uint32_t slot);
+
+    /** Tick of the earliest bucket entry; requires nearCount != 0. */
+    Tick nextNearTick() const;
+
+    /** Run the earliest event if it is due by @p limit. */
+    bool runNext(Tick limit);
 
     /** Execute and release slot @p slot. */
     void runSlot(std::uint32_t slot);
 
-    std::vector<HeapEntry> heap;
-
-    /** Callback pool; slot indices are stable for a callback's whole
-     *  pendency, so heap sifts never touch a callback. */
-    std::vector<EventCallback> slots;
+    /** Callback pool; a slot index is stable for a callback's whole
+     *  pendency, so neither buckets nor the far heap move callbacks. */
+    std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;
 
-    /** Same-tick batch: slots scheduled for curTick after curTick was
-     *  reached, drained FIFO from nowHead. Recycled (cleared, capacity
-     *  kept) whenever it drains. */
-    std::vector<std::uint32_t> nowQ;
-    std::size_t nowHead = 0;
+    /** Bucket b holds the events of the one tick in
+     *  [curTick, curTick + kWheelTicks) congruent to b; head and tail
+     *  are only meaningful while the bucket's occupancy bit is set. */
+    std::array<std::uint32_t, kWheelTicks> bucketHead;
+    std::array<std::uint32_t, kWheelTicks> bucketTail;
+    std::array<std::uint64_t, kWheelWords> occupied{};
+    std::size_t nearCount = 0;
+
+    /** Events at least kWheelTicks ahead when scheduled. */
+    std::vector<FarEntry> far;
 
     Tick curTick = 0;
+    /** Advances on every schedule (the snapshot Engine section writes
+     *  it); only far entries need their seq stored. */
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
 };

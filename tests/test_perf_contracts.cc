@@ -4,10 +4,14 @@
  * hot-path rewrites (pooled/bucketed EventQueue, open-addressed MSHR
  * index) must preserve exactly.
  *
- * Three families:
- *  - same-tick FIFO ordering through the EventQueue's same-tick batch,
- *    including events scheduled from inside running events and slot
- *    recycling through the free-list;
+ * Four families:
+ *  - same-tick FIFO ordering through the EventQueue, including events
+ *    scheduled from inside running events and slot recycling through
+ *    the free-list;
+ *  - a differential test of the timing wheel against a reference
+ *    (when, seq) ordering kept in the test, across the horizon
+ *    boundary, far events sharing a tick with near ones, and clocks
+ *    moved by a snapshot restore;
  *  - MSHR coalescing equivalence: the open-addressed index must track
  *    exactly the set of outstanding line fills a reference map tracks,
  *    under heavy alloc/free churn, growth and backward-shift deletion;
@@ -23,11 +27,13 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/mem_system.hh"
+#include "check/snapshot.hh"
 #include "common/open_addr_map.hh"
 #include "common/rng.hh"
 #include "gpu/runner.hh"
@@ -158,6 +164,211 @@ TEST(SameTickFifo, OrderSurvivesSlotRecyclingChurn)
     // inversions among events that ran at the same tick is implicit in
     // the deterministic total order; re-running must reproduce it.
     EXPECT_GT(eq.eventsExecuted(), 200u);
+}
+
+// ---------------------------------------------------------------------
+// Timing wheel vs a reference (when, seq) ordering.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The wheel's horizon in ticks (EventQueue keeps it private). */
+constexpr Tick kHorizon = 256;
+
+/**
+ * Drives an EventQueue with seeded random schedules and checks every
+ * execution against a reference ordering: each event gets the next id
+ * when scheduled (the queue's seq order), the reference holds the
+ * pending (when, id) pairs, and the event that runs must be the
+ * reference's minimum. Running events schedule children, so the test
+ * also covers scheduling from inside the loop.
+ */
+class WheelOracle
+{
+  public:
+    explicit WheelOracle(std::uint64_t seed) : rng(seed) {}
+
+    /** Schedule one event at now() + @p delta. */
+    void
+    add(Tick delta)
+    {
+        const Tick when = eq.now() + delta;
+        const std::uint64_t id = nextId++;
+        pendingRef.emplace(when, id);
+        eq.schedule(when, [this, when, id] { ran(when, id); });
+    }
+
+    /** A delta from 0 to 4x the horizon, weighted towards the edges. */
+    Tick
+    randomDelta()
+    {
+        switch (rng.below(8)) {
+          case 0: return 0;
+          case 1: return 1 + rng.below(3);
+          case 2: return rng.below(64);
+          case 3: return kHorizon - 1 + rng.below(3); // 255, 256, 257
+          case 4: return kHorizon * 4;
+          default: return rng.below(kHorizon * 4 + 1);
+        }
+    }
+
+    /** Children each running event schedules (0..maxChildren). */
+    std::uint64_t maxChildren = 2;
+
+    EventQueue eq;
+    Rng rng;
+    std::set<std::pair<Tick, std::uint64_t>> pendingRef;
+    std::uint64_t nextId = 0;
+    std::uint64_t executed = 0;
+    std::uint64_t mismatches = 0;
+
+  private:
+    void
+    ran(Tick when, std::uint64_t id)
+    {
+        ++executed;
+        if (pendingRef.empty() || *pendingRef.begin() != std::pair{when, id}
+            || eq.now() != when) {
+            if (mismatches++ == 0) {
+                ADD_FAILURE() << "event " << id << " for tick " << when
+                              << " ran at " << eq.now()
+                              << "; reference expected "
+                              << (pendingRef.empty()
+                                      ? std::string("nothing")
+                                      : std::to_string(
+                                            pendingRef.begin()->second));
+            }
+        }
+        pendingRef.erase({when, id});
+        // Keep the population bounded: children only while young.
+        if (id < 20000) {
+            const std::uint64_t children = rng.below(maxChildren + 1);
+            for (std::uint64_t c = 0; c < children; ++c)
+                add(randomDelta());
+        }
+    }
+};
+
+} // namespace
+
+TEST(TimingWheel, RandomSchedulesMatchReferenceOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        WheelOracle o(seed);
+        for (int i = 0; i < 200; ++i)
+            o.add(o.randomDelta());
+        // Step in uneven slices so runUntil's limit lands on, before
+        // and after bucket and far-heap ticks.
+        while (!o.eq.empty())
+            o.eq.runUntil(o.eq.nextEventTick() + o.rng.below(kHorizon * 2));
+        EXPECT_EQ(o.mismatches, 0u) << "seed " << seed;
+        EXPECT_TRUE(o.pendingRef.empty()) << "seed " << seed;
+        EXPECT_EQ(o.executed, o.nextId) << "seed " << seed;
+        EXPECT_EQ(o.eq.eventsExecuted(), o.nextId);
+        EXPECT_GT(o.executed, 5000u) << "seed " << seed;
+    }
+}
+
+TEST(TimingWheel, HorizonBoundaryDeltasKeepSeqOrder)
+{
+    // Every delta around the horizon, scheduled twice in interleaved
+    // order from one tick: equal ticks must run in scheduling order
+    // whether they went to a bucket (< 256) or the far heap (>= 256).
+    WheelOracle o(42);
+    o.maxChildren = 0;
+    o.eq.schedule(3, [] {});
+    o.eq.runOne(); // now() == 3: bucket indices are not tick-aligned
+    for (int round = 0; round < 2; ++round) {
+        for (Tick d : {Tick(0), Tick(1), Tick(254), Tick(255), Tick(256),
+                       Tick(257), Tick(511), Tick(512), Tick(1024)})
+            o.add(d);
+    }
+    o.eq.runUntil();
+    EXPECT_EQ(o.mismatches, 0u);
+    EXPECT_EQ(o.executed, 18u);
+    EXPECT_EQ(o.eq.now(), 3u + 1024u);
+}
+
+TEST(TimingWheel, FarEventsRunBeforeLaterNearEventsOfTheirTick)
+{
+    // A is far (300 ticks ahead), C is exactly one horizon ahead, B and
+    // D are near; all four land on tick 300, and the marker event at
+    // 299 runs before them. (when, seq) order is A, C, B, D: the far
+    // heap drains before the bucket of the same tick.
+    EventQueue eq;
+    std::vector<char> order;
+    eq.schedule(0, [&] {
+        eq.schedule(300, [&] { order.push_back('A'); });
+    });
+    eq.schedule(44, [&] {
+        eq.scheduleAfter(kHorizon, [&] { order.push_back('C'); });
+    });
+    eq.schedule(50, [&] {
+        eq.schedule(300, [&] { order.push_back('B'); });
+    });
+    eq.schedule(299, [&] {
+        order.push_back('0');
+        eq.schedule(300, [&] { order.push_back('D'); });
+    });
+    eq.runUntil();
+    EXPECT_EQ(order, (std::vector<char>{'0', 'A', 'C', 'B', 'D'}));
+    EXPECT_EQ(eq.now(), 300u);
+}
+
+TEST(TimingWheel, NextEventTickSeesFarAndNearEvents)
+{
+    EventQueue eq;
+    eq.schedule(1000, [] {});
+    EXPECT_EQ(eq.nextEventTick(), 1000u);
+    eq.schedule(255, [] {});
+    EXPECT_EQ(eq.nextEventTick(), 255u);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.runUntil(999), 1u);
+    EXPECT_EQ(eq.now(), 255u);
+    EXPECT_EQ(eq.nextEventTick(), 1000u);
+    eq.runUntil();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.nextEventTick(), maxTick);
+}
+
+TEST(TimingWheel, SchedulingAfterImportStateFollowsTheMovedClock)
+{
+    // Restoring a snapshot moves the clock of a drained queue to an
+    // arbitrary tick (here not a multiple of the horizon); the wheel
+    // must index its buckets from the restored clock.
+    for (const Tick restored : {Tick(5), Tick(1000003), Tick(77777777)}) {
+        WheelOracle o(restored);
+        // Run to some earlier time first so stale bucket positions
+        // would be visible if the restore did not reset them.
+        for (int i = 0; i < 50; ++i)
+            o.add(o.randomDelta());
+        o.eq.runUntil();
+        ASSERT_EQ(o.mismatches, 0u);
+
+        SnapshotWriter w{SnapshotHeader{}};
+        w.beginSection(SnapSection::Engine);
+        w.putU64(restored);
+        w.putU64(123456); // nextSeq
+        w.putU64(42);     // executed
+        w.endSection();
+        Result<SnapshotReader> r = SnapshotReader::parse(w.finish());
+        ASSERT_TRUE(r.isOk()) << r.status().toString();
+        r->openSection(SnapSection::Engine);
+        o.eq.importState(*r);
+        r->closeSection();
+        ASSERT_TRUE(r->ok()) << r->status().toString();
+        ASSERT_EQ(o.eq.now(), restored);
+
+        const std::uint64_t before = o.executed;
+        for (int i = 0; i < 200; ++i)
+            o.add(o.randomDelta());
+        o.eq.runUntil();
+        EXPECT_EQ(o.mismatches, 0u) << "restored to " << restored;
+        EXPECT_TRUE(o.pendingRef.empty());
+        EXPECT_GE(o.executed - before, 200u);
+        EXPECT_EQ(o.eq.eventsExecuted(), 42 + (o.executed - before));
+    }
 }
 
 // ---------------------------------------------------------------------
