@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <memory>
 
@@ -19,6 +20,14 @@ Cache::Cache(EventQueue &eq, const CacheConfig &cfg, MemSink &next_level)
                  config.name, ": size not divisible into sets");
     numSets = config.sizeBytes / (config.lineBytes * config.ways);
     libra_assert(numSets > 0, config.name, ": zero sets");
+    // GpuConfig::validate() and the config fuzzer guarantee both, so
+    // the set index is a shift and a mask.
+    libra_assert(std::has_single_bit(config.lineBytes)
+                     && std::has_single_bit(numSets),
+                 config.name, ": line size and set count must be powers "
+                 "of two");
+    lineShift = static_cast<std::uint32_t>(
+        std::countr_zero(config.lineBytes));
     lines.resize(static_cast<std::size_t>(numSets) * config.ways);
 
     mshrSlots.resize(config.mshrs);
@@ -40,7 +49,8 @@ Cache::Cache(EventQueue &eq, const CacheConfig &cfg, MemSink &next_level)
 std::size_t
 Cache::setIndex(Addr line_addr) const
 {
-    return static_cast<std::size_t>((line_addr / config.lineBytes) % numSets);
+    return static_cast<std::size_t>((line_addr >> lineShift)
+                                    & (numSets - 1));
 }
 
 int

@@ -167,7 +167,8 @@ class Cache : public MemSink
     CacheConfig config;
     MemSink &next;
 
-    std::uint32_t numSets;
+    std::uint32_t numSets;   //!< a power of two
+    std::uint32_t lineShift; //!< log2(lineBytes)
     std::vector<Line> lines;   //!< numSets * ways, set-major
     std::uint64_t lruClock = 0;
 

@@ -31,10 +31,7 @@ ReplicationTracker::recordInstall(Addr line)
 void
 ReplicationTracker::recordEvict(Addr line)
 {
-    if (std::uint32_t *refs = refCount.find(line)) {
-        if (--*refs == 0)
-            refCount.erase(line);
-    }
+    refCount.decrementOrErase(line);
 }
 
 std::uint64_t

@@ -41,10 +41,11 @@ constexpr Addr frameBufferBase = 0x8000'0000ull;   //!< final image
 
 /**
  * Completion callback; argument is the completion tick. Move-only and
- * allocation-free: 24 bytes of inline capture (e.g. an owner pointer
- * plus a shared_ptr to per-request state) — enough for every producer
- * in the tree, and small enough that the cache/DRAM completion wraps
- * (callback + completion tick) still fit inside an EventCallback.
+ * allocation-free: 24 bytes of inline capture — enough for every
+ * producer in the tree, and small enough that the cache/DRAM completion
+ * wraps (callback + completion tick) still fit inside an EventCallback.
+ * The hottest producer, a shader core's texture request, captures
+ * {core, Flight *}: trivially copyable, so it moves as plain bytes.
  */
 using MemCallback = SmallCallback<void(Tick), 24>;
 

@@ -57,14 +57,8 @@ class OpenAddrMap
     V *
     find(Addr key)
     {
-        const std::size_t mask = table.size() - 1;
-        for (std::size_t i = indexOf(key);; i = (i + 1) & mask) {
-            Entry &e = table[i];
-            if (!e.used)
-                return nullptr;
-            if (e.key == key)
-                return &e.value;
-        }
+        Entry &e = table[probe(key)];
+        return e.used ? &e.value : nullptr;
     }
 
     const V *
@@ -107,33 +101,27 @@ class OpenAddrMap
         return insert(key, V{});
     }
 
-    /** Remove @p key; false when absent. Backward-shift deletion keeps
-     *  probe chains tombstone-free. */
+    /** Remove @p key; false when absent. */
     bool
     erase(Addr key)
     {
-        const std::size_t mask = table.size() - 1;
-        std::size_t i = indexOf(key);
-        while (true) {
-            if (!table[i].used)
-                return false;
-            if (table[i].key == key)
-                break;
-            i = (i + 1) & mask;
-        }
-        --count;
-        std::size_t hole = i;
-        for (std::size_t j = (hole + 1) & mask; table[j].used;
-             j = (j + 1) & mask) {
-            // An entry may fill the hole only if the hole lies within
-            // its probe path (circularly between its home slot and j).
-            const std::size_t home = indexOf(table[j].key);
-            if (((j - home) & mask) >= ((j - hole) & mask)) {
-                table[hole] = table[j];
-                hole = j;
-            }
-        }
-        table[hole].used = false;
+        const std::size_t i = probe(key);
+        if (!table[i].used)
+            return false;
+        eraseAt(i);
+        return true;
+    }
+
+    /** Decrement @p key's value and erase the entry when it reaches
+     *  zero, in one probe (a refcount release); false when absent. */
+    bool
+    decrementOrErase(Addr key)
+    {
+        const std::size_t i = probe(key);
+        if (!table[i].used)
+            return false;
+        if (--table[i].value == V{})
+            eraseAt(i);
         return true;
     }
 
@@ -157,6 +145,38 @@ class OpenAddrMap
     }
 
   private:
+    /** Slot holding @p key, or the empty slot ending its probe chain. */
+    std::size_t
+    probe(Addr key) const
+    {
+        const std::size_t mask = table.size() - 1;
+        std::size_t i = indexOf(key);
+        while (table[i].used && table[i].key != key)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Empty the used slot @p i. Backward-shift deletion keeps probe
+     *  chains tombstone-free. */
+    void
+    eraseAt(std::size_t i)
+    {
+        const std::size_t mask = table.size() - 1;
+        --count;
+        std::size_t hole = i;
+        for (std::size_t j = (hole + 1) & mask; table[j].used;
+             j = (j + 1) & mask) {
+            // An entry may fill the hole only if the hole lies within
+            // its probe path (circularly between its home slot and j).
+            const std::size_t home = indexOf(table[j].key);
+            if (((j - home) & mask) >= ((j - hole) & mask)) {
+                table[hole] = table[j];
+                hole = j;
+            }
+        }
+        table[hole].used = false;
+    }
+
     std::size_t
     indexOf(Addr key) const
     {

@@ -82,12 +82,17 @@ Dram::enqueueLine(Addr addr, bool write, TrafficClass cls,
     std::uint64_t row;
     mapAddress(addr, channel_idx, bank, row);
 
-    Request req;
+    std::uint32_t slot = 0;
+    if (freeRequests.empty()) {
+        slot = static_cast<std::uint32_t>(requests.size());
+        requests.emplace_back();
+    } else {
+        slot = freeRequests.back();
+        freeRequests.pop_back();
+    }
+    Request &req = requests[slot];
     req.addr = addr;
-    req.bank = bank;
-    req.row = row;
     req.write = write;
-    req.arrival = queue.now();
     req.cls = cls;
     req.tileTag = tile_tag;
     req.onComplete = std::move(cb);
@@ -97,23 +102,26 @@ Dram::enqueueLine(Addr addr, bool write, TrafficClass cls,
     // same-tick events run in scheduling order, so the pipe drains
     // strictly FIFO — the event only needs to capture `this`, keeping
     // the request itself out of the (size-bounded) event capture.
-    ctrlPipe.push_back(CtrlEntry{channel_idx, std::move(req)});
+    ctrlPipe.push_back(
+        CtrlEntry{channel_idx, write, QueueEntry{bank, slot, row,
+                                                 queue.now()}});
     queue.scheduleAfter(config.ctrlLatency, [this] {
         libra_assert(!ctrlPipe.empty(), "DRAM ctrl pipe underflow");
-        CtrlEntry entry = std::move(ctrlPipe.front());
+        const CtrlEntry ctrl = ctrlPipe.front();
         ctrlPipe.pop_front();
-        Channel &ch = channelState[entry.channel];
-        auto &q = entry.req.write ? ch.writeQ : ch.readQ;
-        q.push_back(std::move(entry.req));
+        Channel &ch = channelState[ctrl.channel];
+        auto &q = ctrl.write ? ch.writeQ : ch.readQ;
+        q.push_back(ctrl.entry);
         libra_assert(q.size() < 2'000'000, "runaway DRAM queue");
-        serviceChannel(entry.channel);
+        serviceChannel(ctrl.channel);
     });
 }
 
-Tick
-Dram::issue(Channel &channel, Request &req)
+void
+Dram::issue(Channel &channel, const QueueEntry &entry)
 {
-    Bank &bank = channel.banks[req.bank];
+    Request &req = requests[entry.slot];
+    Bank &bank = channel.banks[entry.bank];
     const Tick now = queue.now();
     libra_assert(bank.readyAt <= now, "issue to a busy bank");
 
@@ -123,7 +131,7 @@ Dram::issue(Channel &channel, Request &req)
         cmd_start += testStallTicks;
 #endif
     bool row_hit = false;
-    if (bank.rowOpen && bank.openRow == req.row) {
+    if (bank.rowOpen && bank.openRow == entry.row) {
         row_hit = true;
         ++rowHits;
     } else if (!bank.rowOpen) {
@@ -137,7 +145,7 @@ Dram::issue(Channel &channel, Request &req)
         cmd_start += config.tRp + config.tRcd;
     }
     bank.rowOpen = true;
-    bank.openRow = req.row;
+    bank.openRow = entry.row;
 
     // Column access, then the burst occupies the channel's data bus.
     const Tick data_ready = cmd_start + config.tCas;
@@ -157,22 +165,22 @@ Dram::issue(Channel &channel, Request &req)
     } else {
         ++reads;
         ++classReads[cls_idx];
-        totalReadLatency += complete - req.arrival;
+        totalReadLatency += complete - entry.arrival;
     }
 
     if (observer) {
         observer(DramAccessInfo{req.addr, req.write, req.cls, req.tileTag,
-                                req.arrival, complete, row_hit});
+                                entry.arrival, complete, row_hit});
     }
     if (req.onComplete) {
         queue.schedule(complete, [cb = std::move(req.onComplete),
                                   complete]() mutable { cb(complete); });
     }
-    return complete;
+    freeRequests.push_back(entry.slot);
 }
 
 int
-Dram::pickRequest(const Channel &channel, const std::deque<Request> &q,
+Dram::pickRequest(const Channel &channel, const std::vector<QueueEntry> &q,
                   bool allow_starvation, Tick now, Tick &next_wake) const
 {
     if (q.empty())
@@ -182,7 +190,7 @@ Dram::pickRequest(const Channel &channel, const std::deque<Request> &q,
 
     if (allow_starvation) {
         // Age cap: the oldest request preempts row-hit reordering.
-        const Request &front = q.front();
+        const QueueEntry &front = q.front();
         if (now >= front.arrival
             && now - front.arrival > config.starvationLimit) {
             const Bank &bank = channel.banks[front.bank];
@@ -202,9 +210,8 @@ Dram::pickRequest(const Channel &channel, const std::deque<Request> &q,
     // third scan did.
     int first_ready = -1;
     Tick min_ready = maxTick;
-    std::size_t i = 0;
-    for (auto it = q.begin(); i < window; ++it, ++i) {
-        const Request &req = *it;
+    for (std::size_t i = 0; i < window; ++i) {
+        const QueueEntry &req = q[i];
         const Bank &bank = channel.banks[req.bank];
         if (bank.readyAt <= now) {
             if (bank.rowOpen && bank.openRow == req.row)
@@ -246,12 +253,12 @@ Dram::serviceChannel(std::uint32_t channel_idx)
         else if (channel.writeQ.size() <= config.writeLowWatermark)
             channel.drainingWrites = false;
 
-        std::deque<Request> *source = nullptr;
+        std::vector<QueueEntry> *source = nullptr;
         int pick = -1;
         // A starved read preempts even a write drain: posted writes can
         // always wait a little longer, a blocked warp cannot.
         if (!channel.readQ.empty()) {
-            const Request &front = channel.readQ.front();
+            const QueueEntry &front = channel.readQ.front();
             if (now >= front.arrival
                 && now - front.arrival > config.starvationLimit
                 && channel.banks[front.bank].readyAt <= now) {
@@ -281,9 +288,9 @@ Dram::serviceChannel(std::uint32_t channel_idx)
         if (!source)
             break;
 
-        Request req = std::move((*source)[static_cast<std::size_t>(pick)]);
+        const QueueEntry entry = (*source)[static_cast<std::size_t>(pick)];
         source->erase(source->begin() + pick);
-        issue(channel, req);
+        issue(channel, entry);
     }
 
     armWakeup(channel_idx, next_wake);

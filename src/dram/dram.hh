@@ -165,13 +165,22 @@ class Dram : public MemSink
         Tick readyAt = 0; //!< bank can accept a new command
     };
 
+    /** A queued request as the scheduler sees it. Plain data: the
+     *  FR-FCFS scan reads contiguous entries and an erase shifts 24
+     *  bytes per entry; the rest of the request waits in the pool. */
+    struct QueueEntry
+    {
+        std::uint32_t bank;
+        std::uint32_t slot;    //!< index into `requests`
+        std::uint64_t row;
+        Tick arrival;          //!< tick the request entered the DRAM
+    };
+
+    /** What only issue() needs, pooled while the request waits. */
     struct Request
     {
         Addr addr;
-        std::uint32_t bank;
-        std::uint64_t row;
         bool write;
-        Tick arrival;          //!< tick the request entered the queue
         TrafficClass cls;
         std::uint32_t tileTag;
         MemCallback onComplete; //!< may be empty
@@ -180,8 +189,8 @@ class Dram : public MemSink
     struct Channel
     {
         std::vector<Bank> banks;
-        std::deque<Request> readQ;
-        std::deque<Request> writeQ;
+        std::vector<QueueEntry> readQ;  //!< oldest first
+        std::vector<QueueEntry> writeQ; //!< oldest first
         bool drainingWrites = false;
         Tick busReadyAt = 0;     //!< data bus free
         bool wakeupScheduled = false;
@@ -192,7 +201,8 @@ class Dram : public MemSink
     struct CtrlEntry
     {
         std::uint32_t channel;
-        Request req;
+        bool write;
+        QueueEntry entry;
     };
 
     /** Split an address into (channel, bank, row). */
@@ -207,24 +217,26 @@ class Dram : public MemSink
     void serviceChannel(std::uint32_t channel_idx);
 
     /** Pick an issueable request from @p q; -1 when none is ready. */
-    int pickRequest(const Channel &channel, const std::deque<Request> &q,
+    int pickRequest(const Channel &channel,
+                    const std::vector<QueueEntry> &q,
                     bool allow_starvation, Tick now,
                     Tick &next_wake) const;
 
-    /** Issue one request on a ready bank; returns its completion tick. */
-    Tick issue(Channel &channel, Request &req);
+    /** Issue one request on a ready bank and release its pool slot. */
+    void issue(Channel &channel, const QueueEntry &entry);
 
     void armWakeup(std::uint32_t channel_idx, Tick when);
 
     EventQueue &queue;
     DramConfig config;
-    // deque, not vector: Channel holds move-only Requests and deque
-    // resize never relocates (vector::resize would require a copy ctor
-    // because deque's move is not noexcept).
-    std::deque<Channel> channelState;
+    std::vector<Channel> channelState;
     /** FIFO of requests inside the controller pipeline (see
      *  enqueueLine): drained front-first by the matching events. */
     std::deque<CtrlEntry> ctrlPipe;
+    /** Pool of requests between enqueueLine() and issue(), recycled
+     *  through freeRequests. Grows to the peak number in flight. */
+    std::vector<Request> requests;
+    std::vector<std::uint32_t> freeRequests;
     std::function<void(const DramAccessInfo &)> observer;
     std::uint64_t issueSeq = 0; //!< commands issued, for testStallEvery
     StatGroup statGroup{"dram"};

@@ -12,6 +12,24 @@
 namespace libra
 {
 
+namespace
+{
+
+/** Pop an emptied buffer from @p pool (a fresh one when none). */
+template <typename T>
+std::vector<T>
+takeBuffer(std::vector<std::vector<T>> &pool)
+{
+    if (pool.empty())
+        return {};
+    std::vector<T> buf = std::move(pool.back());
+    pool.pop_back();
+    buf.clear();
+    return buf;
+}
+
+} // namespace
+
 const char *
 ruPhaseName(RuPhase phase)
 {
@@ -265,10 +283,10 @@ RasterUnit::rasterizePrim(std::uint32_t prim_index)
     while (i < survivors.size()) {
         const std::size_t n =
             std::min<std::size_t>(config.warpQuads, survivors.size() - i);
-        std::vector<Quad> group(survivors.begin()
-                                    + static_cast<std::ptrdiff_t>(i),
-                                survivors.begin()
-                                    + static_cast<std::ptrdiff_t>(i + n));
+        std::vector<Quad> group = takeBuffer(quadBuffers);
+        group.assign(survivors.begin() + static_cast<std::ptrdiff_t>(i),
+                     survivors.begin()
+                         + static_cast<std::ptrdiff_t>(i + n));
         emitWarp(*ctx, tri, prim_index, std::move(group));
         i += n;
     }
@@ -322,6 +340,7 @@ RasterUnit::emitWarp(TileCtx &ctx, const Triangle &tri,
     task.quadCount = static_cast<std::uint32_t>(quads.size());
     task.aluOps = tri.shaderAluOps;
     task.blend = tri.blend;
+    task.texLines = takeBuffer(texLineBuffers);
     task.texLines.reserve(quads.size() * tri.texSamples);
     for (const Quad &quad : quads) {
         task.fragments += static_cast<std::uint32_t>(quad.coveredCount());
@@ -398,15 +417,17 @@ RasterUnit::dispatchPending()
         const std::uint64_t prim_sig = pending.primSig;
         // The quad vector rides inside the retire callback's inline
         // capture (the whole capture is 56 of WarpRetireCallback's 64
-        // bytes) — no shared_ptr block per warp.
+        // bytes) — no shared_ptr block per warp. The core copies the
+        // texture lines, so their buffer goes straight back to the pool.
         target->dispatch(
-            std::move(pending.task),
+            pending.task,
             [this, ctx, seq, prim_id, prim_sig,
              quads = std::move(pending.quads)](
                 const WarpRetireInfo &info) mutable {
                 onWarpRetired(ctx, seq, prim_id, prim_sig,
                               std::move(quads), info);
             });
+        texLineBuffers.push_back(std::move(pending.task.texLines));
         dispatched = true;
     }
     if (dispatched)
@@ -446,7 +467,7 @@ RasterUnit::commitReadyWarps(TileCtx &ctx)
     // real ROP reorder queue does — overlapping primitives must blend
     // in submission order for the output to be schedule-independent.
     while (!ctx.retired.empty() && ctx.retired.front()) {
-        const TileCtx::RetiredWarp &rw = *ctx.retired.front();
+        TileCtx::RetiredWarp &rw = *ctx.retired.front();
         const Tick ready = std::max(queue.now(), rw.info.shadedAt);
         const Tick blend_done =
             ctx.blender.acceptQuads(ready, rw.info.quadCount);
@@ -470,6 +491,7 @@ RasterUnit::commitReadyWarps(TileCtx &ctx)
             for (const Quad &quad : rw.quads)
                 ctx.blender.blendQuad(quad, rw.primId);
         }
+        quadBuffers.push_back(std::move(rw.quads));
         ctx.retired.pop_front();
         ++ctx.nextCommit;
     }

@@ -410,6 +410,13 @@ class RasterUnit : public RasterSink
     RasterOutput rasterScratch;
     std::vector<Quad> survivorScratch;
 
+    /** Emptied warp buffers kept for reuse, so assembling a warp does
+     *  not allocate in the steady state: a quad group returns here
+     *  when its warp's blend commits, a texture-line list as soon as
+     *  its warp is dispatched (the core copies the lines). */
+    std::vector<std::vector<Quad>> quadBuffers;
+    std::vector<std::vector<Addr>> texLineBuffers;
+
     std::deque<RasterWork> fifo;
     Tick frontReadyAt = 0;
     bool advanceScheduled = false;

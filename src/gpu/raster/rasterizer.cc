@@ -99,8 +99,8 @@ TriangleSetup::rasterize(const IRect &rect, RasterOutput &out) const
     // edgeVec[i].x * (cy - v[i].y) - edgeVec[i].y * (cx - v[i].x). The
     // first product depends only on the pixel row and the second only
     // on the pixel column, so each is computed once per row / column
-    // and every pixel test is the same two products and one
-    // subtraction: bit-identical to evaluating cross2 per pixel. Depth
+    // and a pixel test is the same two products and one subtraction:
+    // bit-identical to evaluating cross2 at that pixel. Depth
     // is hoisted the same way, keeping its (z0 + x term) + y term order.
     const std::size_t cols =
         static_cast<std::size_t>((box.x1 - qx0 + 1) & ~1);
@@ -123,42 +123,100 @@ TriangleSetup::rasterize(const IRect &rect, RasterOutput &out) const
         z_col[c] = dzdx * (cx - v[0].x);
     }
 
+    // Within one pixel row, edge e's value w = edge_row - edge_col[c]
+    // is monotone in the column: cx - v.x and the product with the
+    // constant edgeVec[e].y are round-to-nearest of monotone exact
+    // values, and round-to-nearest is monotone. The per-pixel test
+    // (w > 0, or w == 0 on an accepting edge) is monotone in w, so the
+    // columns passing edge e form a prefix of the row (edgeVec[e].y >
+    // 0), a suffix (< 0) or all-or-nothing (== 0, w is constant), and
+    // the columns passing all three edges form one interval. A binary
+    // search finds it with the exact per-pixel test at every probe, so
+    // coverage is bit-identical to testing every pixel. Requires finite
+    // edge values, which FrameTrace::load and the scene generator
+    // guarantee (a NaN breaks monotonicity).
+    auto passes = [&](const float *row, int e, std::size_t c) {
+        const float w = row[e] - edge_col[e][c];
+        return !(w < 0.0f || (w == 0.0f && !edgeAccepts[e]));
+    };
+    // The rect's columns as buffer indices; non-empty, because the
+    // box is non-empty and lies inside the rect.
+    const std::size_t rect_lo =
+        static_cast<std::size_t>(std::max(0, rect.x0 - qx0));
+    const std::size_t rect_hi =
+        std::min(cols, static_cast<std::size_t>(rect.x1 - qx0));
+    // Sets [lo, hi) to the covered columns of the row with edge values
+    // @p row; empty (lo == hi) when none.
+    auto span = [&](const float *row, std::size_t &lo, std::size_t &hi) {
+        lo = rect_lo;
+        hi = rect_hi;
+        for (int e = 0; e < 3 && lo < hi; ++e) {
+            const float ey = edgeVec[e].y;
+            if (ey == 0.0f) {
+                if (!passes(row, e, lo))
+                    hi = lo;
+                continue;
+            }
+            // Binary search for the first column where the test flips:
+            // to passing on a suffix edge, to failing on a prefix edge.
+            const bool suffix = ey < 0.0f;
+            std::size_t a = lo, b = hi;
+            while (a < b) {
+                const std::size_t m = a + (b - a) / 2;
+                if (passes(row, e, m) == suffix)
+                    b = m;
+                else
+                    a = m + 1;
+            }
+            if (suffix)
+                lo = a;
+            else
+                hi = a;
+        }
+    };
+
     for (std::int32_t qy = qy0; qy < box.y1; qy += 2) {
         float edge_row[2][3];
         float z_row[2];
-        bool row_in[2];
+        std::size_t lo[2] = {0, 0}, hi[2] = {0, 0};
         for (int r = 0; r < 2; ++r) {
             const std::int32_t py = qy + r;
             const float cy = static_cast<float>(py) + 0.5f;
             for (int e = 0; e < 3; ++e)
                 edge_row[r][e] = edgeVec[e].x * (cy - v[e].y);
             z_row[r] = dzdy * (cy - v[0].y);
-            row_in[r] = py >= rect.y0 && py < rect.y1;
+            if (py >= rect.y0 && py < rect.y1)
+                span(edge_row[r], lo[r], hi[r]);
         }
+        // Raster timing still charges every 2x2 block of the box row.
+        out.blocksScanned += static_cast<std::uint32_t>(cols / 2);
+
+        // Emit quads across the union of the two rows' spans.
+        std::size_t first = cols, last = 0;
+        for (int r = 0; r < 2; ++r) {
+            if (lo[r] < hi[r]) {
+                first = std::min(first, lo[r]);
+                last = std::max(last, hi[r]);
+            }
+        }
+        if (first >= last)
+            continue;
+
         const float quad_cy = static_cast<float>(qy) + 1.0f;
         const Vec2 uv_row{dudy.x * (quad_cy - v[0].y),
                           dudy.y * (quad_cy - v[0].y)};
 
-        for (std::int32_t qx = qx0; qx < box.x1; qx += 2) {
-            ++out.blocksScanned;
+        for (std::size_t qc = first & ~std::size_t(1); qc < last; qc += 2) {
+            const std::int32_t qx = qx0 + static_cast<std::int32_t>(qc);
             Quad quad;
             quad.px = static_cast<std::uint16_t>(qx);
             quad.py = static_cast<std::uint16_t>(qy);
             quad.mip = _mip;
 
             for (int bit = 0; bit < 4; ++bit) {
-                const std::int32_t px = qx + (bit & 1);
                 const int r = bit >> 1;
-                if (!row_in[r] || px < rect.x0 || px >= rect.x1)
-                    continue;
-                const std::size_t c = static_cast<std::size_t>(px - qx0);
-                bool inside = true;
-                for (int e = 0; e < 3 && inside; ++e) {
-                    const float w = edge_row[r][e] - edge_col[e][c];
-                    if (w < 0.0f || (w == 0.0f && !edgeAccepts[e]))
-                        inside = false;
-                }
-                if (!inside)
+                const std::size_t c = qc + static_cast<std::size_t>(bit & 1);
+                if (c < lo[r] || c >= hi[r])
                     continue;
                 quad.mask |= static_cast<std::uint8_t>(1 << bit);
                 quad.z[bit] = z0 + z_col[c] + z_row[r];

@@ -1,7 +1,6 @@
 #include "gpu/raster/shader_core.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "check/snapshot.hh"
 #include "common/log.hh"
@@ -9,23 +8,13 @@
 namespace libra
 {
 
-/** Shared mutable state for one in-flight warp. */
-struct ShaderCore::Flight
-{
-    WarpTask task;
-    WarpRetireCallback onRetire;
-    std::uint64_t outstanding = 0;
-    Tick issueTick = 0;     //!< tick the texture phase issued
-    Tick lastData = 0;
-    std::uint64_t latencySum = 0;
-    WarpRetireInfo info{};  //!< filled by finishWarp, read at retirement
-};
-
 ShaderCore::ShaderCore(EventQueue &eq, std::uint32_t warp_slots,
                        Cache &texture_l1, const std::string &name)
     : queue(eq), warpSlots(warp_slots), texL1(texture_l1)
 {
     libra_assert(warp_slots > 0, name, ": core needs warp slots");
+    flights.reserve(warp_slots);
+    freeFlights.reserve(warp_slots);
 }
 
 Tick
@@ -38,7 +27,7 @@ ShaderCore::reserveIssue(Tick earliest, Tick cycles)
 }
 
 void
-ShaderCore::dispatch(WarpTask task, WarpRetireCallback on_retire)
+ShaderCore::dispatch(const WarpTask &task, WarpRetireCallback on_retire)
 {
     libra_assert(hasFreeSlot(), "dispatch to a full core");
     ++residentWarps;
@@ -50,9 +39,23 @@ ShaderCore::dispatch(WarpTask task, WarpRetireCallback on_retire)
     // arbitrating the issue port with the other resident warps.
     const Tick alu_done = reserveIssue(now, std::max<Tick>(1, task.aluOps));
 
-    auto flight = std::make_shared<Flight>();
-    flight->task = std::move(task);
+    Flight *flight = nullptr;
+    if (freeFlights.empty()) {
+        // Every constructed flight is resident, so there are fewer
+        // than warpSlots: this never reallocates (flights are pinned).
+        libra_assert(flights.size() < flights.capacity(),
+                     "warp flight pool would move");
+        flight = &flights.emplace_back();
+    } else {
+        flight = freeFlights.back();
+        freeFlights.pop_back();
+    }
+    flight->task = task; // copy-assigning reuses texLines' buffer
     flight->onRetire = std::move(on_retire);
+    flight->outstanding = 0;
+    flight->issueTick = 0;
+    flight->lastData = 0;
+    flight->latencySum = 0;
 
     if (flight->task.texLines.empty()) {
         // Pure-ALU warp: no texture phase.
@@ -70,7 +73,7 @@ ShaderCore::dispatch(WarpTask task, WarpRetireCallback on_retire)
 }
 
 void
-ShaderCore::issueTexPhase(const std::shared_ptr<Flight> &flight)
+ShaderCore::issueTexPhase(Flight *flight)
 {
     flight->issueTick = queue.now();
     for (const Addr line : flight->task.texLines) {
@@ -85,7 +88,7 @@ ShaderCore::issueTexPhase(const std::shared_ptr<Flight> &flight)
 }
 
 void
-ShaderCore::onTexData(const std::shared_ptr<Flight> &flight, Tick when)
+ShaderCore::onTexData(Flight *flight, Tick when)
 {
     flight->latencySum += when - flight->issueTick;
     flight->lastData = std::max(flight->lastData, when);
@@ -94,8 +97,7 @@ ShaderCore::onTexData(const std::shared_ptr<Flight> &flight, Tick when)
 }
 
 void
-ShaderCore::finishWarp(const std::shared_ptr<Flight> &flight,
-                       Tick data_ready)
+ShaderCore::finishWarp(Flight *flight, Tick data_ready)
 {
     // Tail block (color computation/export) re-arbitrates issue.
     const Tick done = reserveIssue(data_ready, tailOps);
@@ -120,11 +122,16 @@ ShaderCore::finishWarp(const std::shared_ptr<Flight> &flight,
 }
 
 void
-ShaderCore::retireWarp(const std::shared_ptr<Flight> &flight)
+ShaderCore::retireWarp(Flight *flight)
 {
     libra_assert(residentWarps > 0, "slot underflow");
     --residentWarps;
-    flight->onRetire(flight->info);
+    // The callback may dispatch a new warp into this core, which may
+    // take this very Flight: move the callback and its info out first.
+    WarpRetireCallback on_retire = std::move(flight->onRetire);
+    const WarpRetireInfo info = flight->info;
+    freeFlights.push_back(flight);
+    on_retire(info);
 }
 
 void

@@ -15,7 +15,6 @@
 #define LIBRA_GPU_RASTER_SHADER_CORE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -78,12 +77,15 @@ class ShaderCore
     std::uint32_t resident() const { return residentWarps; }
 
     /**
-     * Make @p task resident and start executing it. @p on_retire fires
-     * once, at the tick the warp's shading completes; the slot is freed
-     * just before the callback runs (blending happens downstream in the
-     * Raster Unit's export queue and does not hold the slot).
+     * Make @p task resident and start executing it. The task is copied
+     * into the warp slot's own retained buffers, so the caller may
+     * reuse @p task's storage. @p on_retire fires once, at the tick the
+     * warp's shading completes; the slot is freed just before the
+     * callback runs (blending happens downstream in the Raster Unit's
+     * export queue and does not hold the slot), so the callback may
+     * dispatch a new warp into this core.
      */
-    void dispatch(WarpTask task, WarpRetireCallback on_retire);
+    void dispatch(const WarpTask &task, WarpRetireCallback on_retire);
 
     Cache &textureL1() { return texL1; }
     const Cache &textureL1() const { return texL1; }
@@ -120,34 +122,49 @@ class ShaderCore
     void loadState(SnapshotReader &r);
 
   private:
-    /** Shared state of one in-flight warp (defined in shader_core.cc).
-     *  Everything the warp's events need lives here so each event
-     *  captures only {this, flight} — inside the inline capacity of
-     *  EventCallback/MemCallback. */
-    struct Flight;
+    /** State of one in-flight warp: one per warp slot, pooled. Every
+     *  event and texture callback of the warp captures only
+     *  {this, Flight *} — trivially copyable, so the callbacks move as
+     *  plain bytes and no reference count is touched. */
+    struct Flight
+    {
+        WarpTask task; //!< texLines keeps its capacity across warps
+        WarpRetireCallback onRetire;
+        std::uint64_t outstanding = 0;
+        Tick issueTick = 0; //!< tick the texture phase issued
+        Tick lastData = 0;
+        std::uint64_t latencySum = 0;
+        WarpRetireInfo info{}; //!< filled by finishWarp, read at retire
+    };
 
     /** Reserve @p cycles of the issue port; returns completion tick. */
     Tick reserveIssue(Tick earliest, Tick cycles);
 
     /** Issue every texture sample of @p flight to the L1. */
-    void issueTexPhase(const std::shared_ptr<Flight> &flight);
+    void issueTexPhase(Flight *flight);
 
     /** One texture line returned at @p when. */
-    void onTexData(const std::shared_ptr<Flight> &flight, Tick when);
+    void onTexData(Flight *flight, Tick when);
 
     /** Data complete at @p data_ready: run the tail block, schedule
      *  retirement. */
-    void finishWarp(const std::shared_ptr<Flight> &flight,
-                    Tick data_ready);
+    void finishWarp(Flight *flight, Tick data_ready);
 
     /** Free the slot and fire the retire callback. */
-    void retireWarp(const std::shared_ptr<Flight> &flight);
+    void retireWarp(Flight *flight);
 
     EventQueue &queue;
     std::uint32_t warpSlots;
     Cache &texL1;
     std::uint32_t residentWarps = 0;
     Tick issueReadyAt = 0;
+
+    /** One Flight per warp slot, constructed on first use. Reserved to
+     *  warpSlots at construction and never grown past it (at most
+     *  warpSlots warps are resident), so a Flight never moves while
+     *  events point at it. */
+    std::vector<Flight> flights;
+    std::vector<Flight *> freeFlights;
 };
 
 } // namespace libra

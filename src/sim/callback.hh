@@ -15,11 +15,16 @@
  * Semantics:
  *  - move-only (like the unique_function proposals); moving transfers
  *    the callable, the moved-from callback becomes empty.
- *  - the wrapped callable must be nothrow-move-constructible (pending
- *    events relocate when the event queue's slot pool grows).
+ *  - the wrapped callable must be nothrow-move-constructible: callbacks
+ *    still relocate where a container that holds them grows (a cache
+ *    MSHR's waiter vector, the DRAM request pool), and a throwing move
+ *    there would lose a completion.
  *  - emplace() builds a callable directly inside an existing callback,
  *    so a producer that owns the storage (the event queue's pool)
  *    skips the intermediate callback and its relocation.
+ *  - a trivially copyable callable (a lambda capturing pointers and
+ *    integers) has no relocate/destroy thunks: a move copies the inline
+ *    buffer and reset() makes no call. Other captures keep the thunks.
  *  - invoking an empty callback is a simulator bug (asserted).
  */
 
@@ -27,6 +32,7 @@
 #define LIBRA_SIM_CALLBACK_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -55,25 +61,14 @@ class SmallCallback<R(Args...), Capacity>
         emplace(std::forward<F>(fn));
     }
 
-    SmallCallback(SmallCallback &&other) noexcept
-        : ops(other.ops)
-    {
-        if (ops) {
-            ops->relocate(other.storage, storage);
-            other.ops = nullptr;
-        }
-    }
+    SmallCallback(SmallCallback &&other) noexcept { take(other); }
 
     SmallCallback &
     operator=(SmallCallback &&other) noexcept
     {
         if (this != &other) {
             reset();
-            ops = other.ops;
-            if (ops) {
-                ops->relocate(other.storage, storage);
-                other.ops = nullptr;
-            }
+            take(other);
         }
         return *this;
     }
@@ -96,8 +91,8 @@ class SmallCallback<R(Args...), Capacity>
         static_assert(alignof(Fn) <= kAlign,
                       "over-aligned captures are not supported");
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "captures must be nothrow-movable (pending events "
-                      "relocate when the event queue's pool grows)");
+                      "captures must be nothrow-movable (callbacks "
+                      "relocate when a container holding them grows)");
         static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
                       "callable signature mismatch");
         reset();
@@ -106,6 +101,17 @@ class SmallCallback<R(Args...), Capacity>
     }
 
     explicit operator bool() const { return ops != nullptr; }
+
+    /** Destroy any held callable; the callback becomes empty. */
+    void
+    reset()
+    {
+        if (ops) {
+            if (ops->destroy)
+                ops->destroy(storage);
+            ops = nullptr;
+        }
+    }
 
     R
     operator()(Args... args)
@@ -118,6 +124,9 @@ class SmallCallback<R(Args...), Capacity>
     static constexpr std::size_t capacity() { return Capacity; }
 
   private:
+    /** relocate/destroy are null for a trivially copyable callable:
+     *  its bytes are the object, so a move is a buffer copy and
+     *  destruction is a no-op. */
     struct Ops
     {
         R (*invoke)(void *, Args...);
@@ -126,24 +135,35 @@ class SmallCallback<R(Args...), Capacity>
     };
 
     template <typename Fn>
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<Fn>;
+
+    template <typename Fn>
     static constexpr Ops opsFor{
         [](void *obj, Args... args) -> R {
             return (*static_cast<Fn *>(obj))(std::forward<Args>(args)...);
         },
-        [](void *from, void *to) noexcept {
+        kTrivial<Fn> ? nullptr : +[](void *from, void *to) noexcept {
             Fn *src = static_cast<Fn *>(from);
             ::new (to) Fn(std::move(*src));
             src->~Fn();
         },
-        [](void *obj) noexcept { static_cast<Fn *>(obj)->~Fn(); },
+        kTrivial<Fn> ? nullptr
+                     : +[](void *obj) noexcept {
+                           static_cast<Fn *>(obj)->~Fn();
+                       },
     };
 
+    /** Move @p other's callable into this empty callback. */
     void
-    reset()
+    take(SmallCallback &other) noexcept
     {
+        ops = other.ops;
         if (ops) {
-            ops->destroy(storage);
-            ops = nullptr;
+            if (ops->relocate)
+                ops->relocate(other.storage, storage);
+            else
+                std::memcpy(storage, other.storage, Capacity);
+            other.ops = nullptr;
         }
     }
 

@@ -8,14 +8,14 @@
 namespace libra
 {
 
-EventQueue::EventQueue()
+EventQueue::EventQueue() : chunks(1)
 {
-    slots.reserve(kInitialCapacity);
-    freeSlots.reserve(kInitialCapacity);
+    chunks.front().reserve(kChunkSlots);
+    freeSlots.reserve(kChunkSlots);
 }
 
 void
-EventQueue::enqueue(Tick when, std::uint32_t slot)
+EventQueue::enqueue(Tick when, Slot *slot)
 {
     const std::uint64_t seq = nextSeq++;
     if (when - curTick >= kWheelTicks) {
@@ -28,9 +28,9 @@ EventQueue::enqueue(Tick when, std::uint32_t slot)
     const std::size_t b = when & kWheelMask;
     std::uint64_t &word = occupied[b / 64];
     const std::uint64_t bit = std::uint64_t(1) << (b % 64);
-    slots[slot].next = kNoSlot;
+    slot->next = nullptr;
     if (word & bit)
-        slots[bucketTail[b]].next = slot;
+        bucketTail[b]->next = slot;
     else
         bucketHead[b] = slot;
     word |= bit;
@@ -68,14 +68,17 @@ EventQueue::nextEventTick() const
 }
 
 void
-EventQueue::runSlot(std::uint32_t slot)
+EventQueue::runSlot(Slot *slot)
 {
-    // Move the callback out before invoking: the callback may schedule
-    // new events, which may grow the pool or recycle this very slot.
-    EventCallback cb = std::move(slots[slot].cb);
-    freeSlots.push_back(slot);
+    // Invoke in place: the callback may schedule new events, which may
+    // add chunks but never move this slot, and the slot joins the
+    // free-list only after the call, so no event scheduled meanwhile
+    // can be built over the running callable.
+    EventCallback &cb = slot->cb;
     ++executed;
     cb();
+    cb.reset();
+    freeSlots.push_back(slot);
 }
 
 bool
@@ -100,9 +103,9 @@ EventQueue::runNext(Tick limit)
         return false;
 
     const std::size_t b = near & kWheelMask;
-    const std::uint32_t slot = bucketHead[b];
-    const std::uint32_t next = slots[slot].next;
-    if (next == kNoSlot)
+    Slot *slot = bucketHead[b];
+    Slot *next = slot->next;
+    if (!next)
         occupied[b / 64] &= ~(std::uint64_t(1) << (b % 64));
     else
         bucketHead[b] = next;

@@ -19,8 +19,11 @@
  *    word scans. Only events at least a horizon ahead go to a small
  *    (when, seq) min-heap.
  *  - Callbacks live in a pool of slots recycled through a free-list and
- *    are built in place (SmallCallback::emplace), so steady-state
- *    scheduling performs no allocation and no callback relocation.
+ *    are built in place (SmallCallback::emplace). The pool is a list of
+ *    fixed-size chunks that never reallocate, so a slot's address is
+ *    stable: an event runs where it was built and its slot is freed
+ *    only after it returns. Steady-state scheduling and dispatch
+ *    perform no allocation and no callback relocation.
  *  - Far events drain before the bucket of the same tick: a far event
  *    for tick T was scheduled at or before T - 256 and a bucket entry
  *    for T strictly after it, so the far event has the smaller seq.
@@ -88,8 +91,8 @@ class EventQueue
     {
         libra_assert(when >= curTick,
                      "scheduling in the past: ", when, " < ", curTick);
-        const std::uint32_t slot = acquireSlot();
-        slots[slot].cb.emplace(std::forward<F>(fn));
+        Slot *slot = acquireSlot();
+        slot->cb.emplace(std::forward<F>(fn));
         enqueue(when, slot);
     }
 
@@ -140,21 +143,21 @@ class EventQueue
     static constexpr std::size_t kWheelTicks = 256;
     static constexpr Tick kWheelMask = kWheelTicks - 1;
     static constexpr std::size_t kWheelWords = kWheelTicks / 64;
-    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
 
     /**
-     * Pre-reserved capacity of the callback pool and its free-list.
-     * Scheduling is allocation-free until the number of *pending*
-     * events first exceeds this (the vectors then grow geometrically,
-     * as usual).
+     * Slots per pool chunk, and the free-list's initial capacity. The
+     * constructor reserves the first chunk, so scheduling is
+     * allocation-free until more than this many events are pending
+     * at once; each further chunk is reserved when the last one fills.
+     * A constant, not a knob: it only moves allocation points.
      */
-    static constexpr std::size_t kInitialCapacity = 1024;
+    static constexpr std::size_t kChunkSlots = 1024;
 
     /** One pooled callback; `next` links it into its bucket's FIFO. */
     struct Slot
     {
         EventCallback cb;
-        std::uint32_t next = kNoSlot;
+        Slot *next = nullptr;
     };
 
     /** Far-heap element: plain data, the callback stays in its slot. */
@@ -162,7 +165,7 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        Slot *slot;
     };
 
     struct Later
@@ -176,21 +179,24 @@ class EventQueue
         }
     };
 
-    /** Take a pool slot (free-list first, then grow). */
-    std::uint32_t
+    /** Take a pool slot (free-list first, then construct one). */
+    Slot *
     acquireSlot()
     {
         if (!freeSlots.empty()) {
-            const std::uint32_t slot = freeSlots.back();
+            Slot *slot = freeSlots.back();
             freeSlots.pop_back();
             return slot;
         }
-        slots.emplace_back();
-        return static_cast<std::uint32_t>(slots.size() - 1);
+        if (chunks.back().size() == kChunkSlots) {
+            chunks.emplace_back();
+            chunks.back().reserve(kChunkSlots);
+        }
+        return &chunks.back().emplace_back();
     }
 
     /** Queue the filled slot @p slot for tick @p when. */
-    void enqueue(Tick when, std::uint32_t slot);
+    void enqueue(Tick when, Slot *slot);
 
     /** Tick of the earliest bucket entry; requires nearCount != 0. */
     Tick nextNearTick() const;
@@ -199,18 +205,20 @@ class EventQueue
     bool runNext(Tick limit);
 
     /** Execute and release slot @p slot. */
-    void runSlot(std::uint32_t slot);
+    void runSlot(Slot *slot);
 
-    /** Callback pool; a slot index is stable for a callback's whole
-     *  pendency, so neither buckets nor the far heap move callbacks. */
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> freeSlots;
+    /** Callback pool. Each chunk is reserved to kChunkSlots and never
+     *  grows past it, so a slot never moves (growing `chunks` moves
+     *  only the chunk headers) and buckets, the far heap and the
+     *  free-list hold plain Slot pointers. */
+    std::vector<std::vector<Slot>> chunks;
+    std::vector<Slot *> freeSlots;
 
     /** Bucket b holds the events of the one tick in
      *  [curTick, curTick + kWheelTicks) congruent to b; head and tail
      *  are only meaningful while the bucket's occupancy bit is set. */
-    std::array<std::uint32_t, kWheelTicks> bucketHead;
-    std::array<std::uint32_t, kWheelTicks> bucketTail;
+    std::array<Slot *, kWheelTicks> bucketHead;
+    std::array<Slot *, kWheelTicks> bucketTail;
     std::array<std::uint64_t, kWheelWords> occupied{};
     std::size_t nearCount = 0;
 

@@ -1,6 +1,7 @@
 #include "trace/frame_trace.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -312,6 +313,29 @@ FrameTrace::loadImpl(const std::string &path)
                     return corrupt(path, "truncated triangle data");
                 remaining -=
                     std::min<std::uint64_t>(remaining, triangleBytes);
+                // The rasterizer casts floored coordinates to int and
+                // the texture unit casts uv to unsigned: a NaN, an
+                // infinity or a huge coordinate is undefined behaviour
+                // there (and breaks the span search's monotonicity).
+                for (const auto &v : tri.v) {
+                    const float vals[5] = {v.pos.x, v.pos.y, v.pos.z,
+                                           v.uv.x, v.uv.y};
+                    for (const float f : vals) {
+                        if (!std::isfinite(f)) {
+                            return corrupt(path, "non-finite vertex "
+                                                 "attribute");
+                        }
+                    }
+                    if (std::fabs(v.pos.x) > trace_limits::maxVertexCoord
+                        || std::fabs(v.pos.y)
+                            > trace_limits::maxVertexCoord) {
+                        return corrupt(
+                            path, detail::format(
+                                      "vertex (", v.pos.x, ", ", v.pos.y,
+                                      ") outside +/-",
+                                      trace_limits::maxVertexCoord));
+                    }
+                }
                 // Replay indexes the texture pool with this id; an
                 // unchecked id would panic mid-simulation.
                 if (tri.textureId >= tex_count) {

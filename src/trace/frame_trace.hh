@@ -31,6 +31,8 @@
  *   frames:               0 .. 65536
  *   draws per frame:      0 .. 1048576 (and >= 18 bytes each on disk)
  *   triangles per draw:   0 .. 4194304 (and 68 bytes each on disk)
+ *   vertex attributes:    all 15 floats finite, |x| and |y| at most
+ *                         maxVertexCoord (2^20)
  */
 
 #ifndef LIBRA_TRACE_FRAME_TRACE_HH
@@ -56,6 +58,10 @@ constexpr std::uint32_t maxTextureDim = 16384;
 constexpr std::uint32_t maxFrames = 1u << 16;
 constexpr std::uint32_t maxDrawsPerFrame = 1u << 20;
 constexpr std::uint32_t maxTrisPerDraw = 1u << 22;
+/** Largest |x| or |y| of a vertex, in pixels. Far beyond any screen,
+ *  yet small enough that the rasterizer's float-to-int bounding box
+ *  casts and edge products stay finite and in range. */
+constexpr float maxVertexCoord = 1048576.0f; // 2^20
 } // namespace trace_limits
 
 /** A loaded trace: everything needed to drive Gpu::renderFrame. */

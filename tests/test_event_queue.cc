@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -127,4 +128,48 @@ TEST(EventQueue, PendingReflectsQueueSize)
     EXPECT_EQ(eq.pending(), 2u);
     eq.runOne();
     EXPECT_EQ(eq.pending(), 1u);
+}
+
+TEST(EventQueue, RunningCallbackSurvivesPoolGrowth)
+{
+    // One callback schedules enough events to make the pool add more
+    // than two chunks, then reads and writes its own captures: the
+    // running callable must not move or be reused under it.
+    EventQueue eq;
+    struct
+    {
+        EventQueue *eq;
+        std::vector<std::pair<Tick, int>> ran;
+    } log{&eq, {}};
+    constexpr int kEvents = 2600;
+    eq.schedule(0, [&log, tag = std::vector<int>{7, 8, 9},
+                    sum = 0]() mutable {
+        for (int i = 0; i < kEvents; ++i) {
+            // A mix of wheel and far-heap deltas, many ticks shared.
+            const Tick when = 1 + static_cast<Tick>((i * 37) % 300);
+            log.eq->schedule(when, [&log, i] {
+                log.ran.emplace_back(log.eq->now(), i);
+            });
+            sum += tag[static_cast<std::size_t>(i) % tag.size()];
+        }
+        tag.push_back(sum);
+        EXPECT_EQ(tag.size(), 4u);
+        EXPECT_EQ(tag[0], 7);
+        EXPECT_EQ(tag[3], sum);
+        EXPECT_EQ(log.eq->pending(), static_cast<std::size_t>(kEvents));
+    });
+    eq.runUntil();
+    const auto &ran = log.ran;
+    ASSERT_EQ(ran.size(), static_cast<std::size_t>(kEvents));
+    EXPECT_EQ(eq.eventsExecuted(), static_cast<std::uint64_t>(kEvents + 1));
+    // (when, seq) order: by tick, and in scheduling order within one.
+    for (std::size_t k = 1; k < ran.size(); ++k) {
+        const auto &a = ran[k - 1];
+        const auto &b = ran[k];
+        ASSERT_TRUE(a.first < b.first
+                    || (a.first == b.first && a.second < b.second))
+            << "event " << b.second << " at " << b.first
+            << " ran after event " << a.second << " at " << a.first;
+        EXPECT_EQ(b.first, 1 + static_cast<Tick>((b.second * 37) % 300));
+    }
 }

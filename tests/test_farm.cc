@@ -227,9 +227,10 @@ TEST(FarmProtocol, ConfigSpecRejectsMalformedSpecs)
                             "supertile:4:2x4:extra", "libra:2x4x8"}) {
         Result<GpuConfig> cfg = parseConfigSpec(bad);
         EXPECT_FALSE(cfg.isOk()) << "accepted spec '" << bad << "'";
-        if (!cfg.isOk())
+        if (!cfg.isOk()) {
             EXPECT_EQ(cfg.status().code(), ErrorCode::InvalidArgument)
                 << bad;
+        }
     }
 }
 

@@ -37,7 +37,7 @@ TEST(GpuConfigValidate, ShippedPresetsAreValid)
 
 TEST(GpuConfigValidate, BenchResolutionsAreValid)
 {
-    for (const auto [w, h] : {std::pair<std::uint32_t, std::uint32_t>
+    for (const auto &[w, h] : {std::pair<std::uint32_t, std::uint32_t>
                               {960, 544}, {1920, 1080}, {512, 288}}) {
         GpuConfig cfg = GpuConfig::libra(2, 4);
         cfg.screenWidth = w;

@@ -413,16 +413,25 @@ TEST(OpenAddrMap, InsertFindEraseWithGrowth)
 TEST(OpenAddrMap, RandomChurnMatchesReferenceMap)
 {
     // MSHR-shaped workload: a small set of live keys with constant
-    // insert/erase churn (allocate on miss, free on fill).
+    // insert/erase churn (allocate on miss, free on fill), plus the
+    // replication tracker's refcount release (decrement, erase at 0).
     OpenAddrMap<std::uint32_t> map(16);
     std::unordered_map<Addr, std::uint32_t> ref;
     Rng rng(1234);
     for (int step = 0; step < 100000; ++step) {
         const Addr key = (rng.next() % 512) * 64;
-        if ((rng.next() & 3) == 0) {
+        const std::uint64_t op = rng.next() & 7;
+        if (op < 2) {
             EXPECT_EQ(map.erase(key), ref.erase(key) == 1);
+        } else if (op < 4) {
+            const auto it = ref.find(key);
+            const bool present = it != ref.end();
+            if (present && --it->second == 0)
+                ref.erase(it);
+            EXPECT_EQ(map.decrementOrErase(key), present);
         } else {
-            const auto val = static_cast<std::uint32_t>(step);
+            // Small values, so releases often reach zero.
+            const auto val = static_cast<std::uint32_t>(1 + step % 3);
             map.insert(key, val);
             ref[key] = val;
         }

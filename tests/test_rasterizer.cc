@@ -549,6 +549,14 @@ TEST(Rasterizer, BitIdenticalToPerPixelEdgeFunction)
         const Vec2 c =
             g1 + (g1 - b) * static_cast<float>(rng.uniform(0.1, 2.0));
         tris.push_back(randomTri(rng, a, b, c));
+        // Two vertices as far out as a trace may place them (up to
+        // trace_limits::maxVertexCoord): cx - v.x rounds coarsely, the
+        // hardest case for the span search's monotonicity argument.
+        const double far = iter % 2 ? 1048576.0 : 4096.0;
+        tris.push_back(randomTri(
+            rng, {coord(rng, -far, far), coord(rng, -far, far)},
+            {coord(rng, -far, far), coord(rng, -far, far)},
+            {coord(rng, -8.0, 72.0), coord(rng, -8.0, 72.0)}));
 
         for (const Triangle &tri : tris) {
             if (tri.signedArea2() == 0.0f)

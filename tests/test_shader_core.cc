@@ -164,6 +164,61 @@ TEST(ShaderCore, RetireInfoCarriesTaskAttributes)
     EXPECT_EQ(seen.instructions, 6u + 2u + ShaderCore::tailOps);
 }
 
+TEST(ShaderCore, RetireCallbackMayRefillItsOwnSlot)
+{
+    // One warp slot: the first warp's retire callback dispatches the
+    // second warp into the very slot it just freed. The running
+    // callback, its captures and the info it was handed must all
+    // survive that.
+    Rig rig(40, 1);
+    struct
+    {
+        WarpRetireInfo first{}, second{};
+        int retired = 0;
+    } seen;
+    WarpTask a = texWarp(3, {0x100, 0x200});
+    a.tile = 11;
+    a.quadCount = 5;
+    a.fragments = 17;
+    WarpTask b = texWarp(7, {0x4000});
+    b.tile = 22;
+    b.blend = true;
+    b.quadCount = 2;
+    b.fragments = 6;
+
+    rig.core.dispatch(a, [&seen, &rig, &b, marks = std::vector<int>{
+                                              1, 2, 3}](
+                             const WarpRetireInfo &info) {
+        ASSERT_TRUE(rig.core.hasFreeSlot());
+        rig.core.dispatch(b, [&seen](const WarpRetireInfo &info2) {
+            seen.second = info2;
+            ++seen.retired;
+        });
+        EXPECT_FALSE(rig.core.hasFreeSlot());
+        EXPECT_EQ(marks, (std::vector<int>{1, 2, 3}));
+        seen.first = info; // read after the slot was reused
+        ++seen.retired;
+    });
+    rig.eq.runUntil();
+
+    ASSERT_EQ(seen.retired, 2);
+    EXPECT_EQ(seen.first.tile, 11u);
+    EXPECT_FALSE(seen.first.blend);
+    EXPECT_EQ(seen.first.quadCount, 5u);
+    EXPECT_EQ(seen.first.fragments, 17u);
+    EXPECT_EQ(seen.first.texRequests, 2u);
+    EXPECT_EQ(seen.first.instructions, 3u + 2u + ShaderCore::tailOps);
+    EXPECT_EQ(seen.second.tile, 22u);
+    EXPECT_TRUE(seen.second.blend);
+    EXPECT_EQ(seen.second.quadCount, 2u);
+    EXPECT_EQ(seen.second.fragments, 6u);
+    EXPECT_EQ(seen.second.texRequests, 1u);
+    EXPECT_EQ(seen.second.instructions, 7u + 1u + ShaderCore::tailOps);
+    EXPECT_GT(seen.second.shadedAt, seen.first.shadedAt);
+    EXPECT_EQ(rig.core.warpsExecuted.value(), 2u);
+    EXPECT_EQ(rig.core.freeSlots(), 1u);
+}
+
 TEST(ShaderCore, SameLineRequestsCoalesceInL1)
 {
     Rig rig(100);

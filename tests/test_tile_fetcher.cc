@@ -131,10 +131,12 @@ TEST(TileFetcher, DeliversEveryTileOnce)
     EXPECT_TRUE(rig.fetcher->drained());
     std::set<TileId> begins, ends;
     for (const auto &work : rig.sinks[0]->stream) {
-        if (work.kind == RasterWork::Kind::TileBegin)
+        if (work.kind == RasterWork::Kind::TileBegin) {
             EXPECT_TRUE(begins.insert(work.tile).second);
-        if (work.kind == RasterWork::Kind::TileEnd)
+        }
+        if (work.kind == RasterWork::Kind::TileEnd) {
             EXPECT_TRUE(ends.insert(work.tile).second);
+        }
     }
     EXPECT_EQ(begins.size(), rig.grid.tileCount());
     EXPECT_EQ(ends.size(), rig.grid.tileCount());

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -146,8 +147,9 @@ TEST(TraceCorruption, ByteFlipAtEveryHeaderOffsetNeverCrashes)
             EXPECT_EQ(st.code(), ErrorCode::CorruptData)
                 << "offset " << at;
         }
-        if (!st.isOk())
+        if (!st.isOk()) {
             EXPECT_EQ(trace.frameCount(), 0u) << "offset " << at;
+        }
     }
 }
 
@@ -225,6 +227,59 @@ TEST(TraceCorruption, ZeroTextureDimensionIsRejected)
     const Status st = trace.load(evil.str());
     ASSERT_FALSE(st.isOk());
     EXPECT_EQ(st.code(), ErrorCode::CorruptData);
+}
+
+TEST(TraceCorruption, NonFiniteOrHugeVertexDataIsRejected)
+{
+    // The rasterizer casts floored coordinates to int and the texture
+    // unit casts uv to unsigned; a NaN, an infinity or a huge value
+    // there is undefined behaviour, so the loader must refuse it.
+    const auto trace_with = [](auto mutate) {
+        Triangle tri;
+        tri.v[0].pos = {10, 10, 0.5f};
+        tri.v[1].pos = {40, 12, 0.5f};
+        tri.v[2].pos = {20, 30, 0.5f};
+        tri.v[1].uv = {1, 0};
+        tri.v[2].uv = {0, 1};
+        mutate(tri);
+        FrameData frame;
+        frame.draws.resize(1);
+        frame.draws[0].tris.push_back(tri);
+        frame.draws[0].vertexCount = 3;
+        return frame;
+    };
+    const struct
+    {
+        const char *what;
+        FrameData frame;
+    } cases[] = {
+        {"nan x", trace_with([](Triangle &t) {
+             t.v[1].pos.x = std::numeric_limits<float>::quiet_NaN();
+         })},
+        {"inf uv", trace_with([](Triangle &t) {
+             t.v[2].uv.y = std::numeric_limits<float>::infinity();
+         })},
+        {"huge y", trace_with([](Triangle &t) { t.v[0].pos.y = 1e30f; })},
+    };
+
+    const TracePath good("good");
+    ASSERT_TRUE(writeTrace(good.str(), 64, 64, {{16, 16}},
+                           {trace_with([](Triangle &) {})})
+                    .isOk());
+    FrameTrace trace;
+    ASSERT_TRUE(trace.load(good.str()).isOk());
+
+    for (const auto &c : cases) {
+        const TracePath evil("evil");
+        ASSERT_TRUE(
+            writeTrace(evil.str(), 64, 64, {{16, 16}}, {c.frame}).isOk())
+            << c.what;
+        FrameTrace loaded;
+        const Status st = loaded.load(evil.str());
+        EXPECT_FALSE(st.isOk()) << c.what;
+        EXPECT_EQ(st.code(), ErrorCode::CorruptData) << c.what;
+        EXPECT_EQ(loaded.frameCount(), 0u) << c.what;
+    }
 }
 
 TEST(TraceCorruption, FailedLoadResetsPreviousContent)
