@@ -6,8 +6,12 @@
  *   --frames N            frames per run (default 4; paper used 25)
  *   --policy NAME         apply a registered scheduling/pipeline
  *                         policy preset onto every config the bench
- *                         builds (see src/gpu/policy_registry.hh;
- *                         e.g. zorder, libra, re, re-libra)
+ *                         builds: a bare registry name (e.g. zorder,
+ *                         libra, re, re-libra), leaving the bench's
+ *                         machine shape and supertile sizes alone. The
+ *                         full config-spec grammar, which the farm
+ *                         takes, is parseConfigSpec's in
+ *                         src/gpu/policy_registry.hh.
  *   --width W --height H  screen (default 960x544 for speed)
  *   --benchmarks a,b,c    explicit benchmark subset
  *   --full                paper-scale: FHD, 25 frames, whole suite

@@ -19,6 +19,9 @@
  *              [--op simulate|ping|stats|shutdown]                 \
  *              [--expect-cache hit|miss|coalesced]
  *
+ * SPEC is a config spec, in the grammar of parseConfigSpec
+ * (src/gpu/policy_registry.hh); the default is libra:2x4.
+ *
  * The reply header goes to stderr; the report JSON goes to --out (or
  * stdout). Exit codes: 0 success, 1 usage/transport failure, 2 the
  * server answered error/rejected, 3 --expect-cache mismatch (CI uses
@@ -88,19 +91,11 @@ main(int argc, char **argv)
         return serve(args);
 
     FarmRequest req;
-    const std::string op = args.get("op", "simulate");
-    if (op == "simulate") {
-        req.op = FarmOp::Simulate;
-    } else if (op == "ping") {
-        req.op = FarmOp::Ping;
-    } else if (op == "stats") {
-        req.op = FarmOp::Stats;
-    } else if (op == "shutdown") {
-        req.op = FarmOp::Shutdown;
-    } else {
-        fatal("--op must be simulate|ping|stats|shutdown, got '", op,
-              "'");
-    }
+    Result<FarmOp> op =
+        parseFarmOp(args.get("op", farmOpName(FarmOp::Simulate)));
+    if (!op.isOk())
+        fatal("--op: ", op.status().message());
+    req.op = *op;
     req.id = args.get("id", "");
     if (req.op == FarmOp::Simulate) {
         req.benchmark = args.get("benchmark", "");
@@ -114,7 +109,7 @@ main(int argc, char **argv)
             args.getUint("frames", req.frames));
         req.firstFrame = static_cast<std::uint32_t>(
             args.getUint("first-frame", req.firstFrame));
-        req.config = args.get("config", req.config);
+        req.config = args.get("config", "libra:2x4");
         req.figure = args.get("figure", "");
     }
 

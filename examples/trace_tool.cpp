@@ -7,8 +7,11 @@
  *
  * Usage:
  *   trace_tool record --benchmark CCS --frames 8 --out ccs.ltrc
- *   trace_tool replay --in ccs.ltrc [--config libra|ptr|baseline]
+ *   trace_tool replay --in ccs.ltrc [--config SPEC]
  *   trace_tool info   --in ccs.ltrc
+ *
+ * SPEC is a config spec (parseConfigSpec, src/gpu/policy_registry.hh),
+ * e.g. libra (the default), ptr, baseline or re-libra:4x2.
  */
 
 #include <cstdio>
@@ -17,6 +20,7 @@
 #include "common/cli.hh"
 #include "common/log.hh"
 #include "gpu/gpu.hh"
+#include "gpu/policy_registry.hh"
 #include "trace/frame_trace.hh"
 #include "trace/report.hh"
 #include "workload/benchmarks.hh"
@@ -50,18 +54,6 @@ record(const CliArgs &args)
     return 0;
 }
 
-GpuConfig
-configNamed(const std::string &name)
-{
-    if (name == "baseline")
-        return GpuConfig::baseline(8);
-    if (name == "ptr")
-        return GpuConfig::ptr(2, 4);
-    if (name == "libra")
-        return GpuConfig::libra(2, 4);
-    fatal("unknown config '", name, "' (baseline|ptr|libra)");
-}
-
 int
 replay(const CliArgs &args)
 {
@@ -73,7 +65,10 @@ replay(const CliArgs &args)
         return 1;
     }
 
-    GpuConfig cfg = configNamed(args.get("config", "libra"));
+    Result<GpuConfig> spec = parseConfigSpec(args.get("config", "libra"));
+    if (!spec.isOk())
+        fatal("--config: ", spec.status().message());
+    GpuConfig cfg = *spec;
     cfg.screenWidth = trace.screenWidth();
     cfg.screenHeight = trace.screenHeight();
 

@@ -149,10 +149,8 @@ Cache::handleFill(Addr line_addr, Tick when)
     // data: complete its waiters (the timing is real) but never install
     // the stale line.
     bool discard = slot.discardFill;
-#if LIBRA_FAULTS_ENABLED
     if (testDropFillEvery != 0 && ++fillSeq % testDropFillEvery == 0)
         discard = true;
-#endif
     if (discard)
         ++invalidatedFills;
     else

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cache/mem_system.hh"
-#include "check/faults_build.hh"
 #include "common/open_addr_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -116,7 +115,7 @@ class Cache : public MemSink
      * exactly as if it had crossed an invalidateAll() — waiters keep
      * their timing, the line is not installed, `invalidatedFills` is
      * incremented (no new counter, so golden counter dumps keep their
-     * shape). 0 disables. Compiled out with LIBRA_FAULTS=OFF.
+     * shape). 0 disables.
      */
     std::uint64_t testDropFillEvery = 0;
 

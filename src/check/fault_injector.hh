@@ -21,9 +21,8 @@
  * global state — which is what lets the chaos soak assert that
  * completed-job results are byte-identical to a fault-free run.
  *
- * Build-time gating: see faults_build.hh (LIBRA_FAULTS_ENABLED). With
- * the hooks compiled in but no plan armed, every hook is a null/zero
- * check; diff_check verifies counter dumps stay byte-identical.
+ * With no plan armed, every hook is a null/zero check, and the golden
+ * counter dump (tests/test_perf_contracts.cc) pins an unarmed run.
  */
 
 #ifndef LIBRA_CHECK_FAULT_INJECTOR_HH
@@ -34,7 +33,6 @@
 #include <string_view>
 #include <vector>
 
-#include "check/faults_build.hh"
 #include "common/status.hh"
 #include "common/types.hh"
 

@@ -47,10 +47,12 @@ namespace libra
  * report could go stale against the current code: simulator model
  * changes, report schema changes, or key-hash (mixer) changes.
  */
-constexpr std::uint32_t kResultCacheCodeVersion = 3;
+constexpr std::uint32_t kResultCacheCodeVersion = 4;
 // v2: configHash() chain gained renderingElimination; reports may
 //     carry re.* counters.
 // v3: configHash() chain lost the removed sharded-engine flag.
+// v4: the report's "scheduler" member is the registry name
+//     (policyNameFor), so RE runs say "re"/"re-libra".
 
 /** Identity of one cacheable simulation request. */
 struct ResultCacheKey

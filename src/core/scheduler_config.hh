@@ -48,21 +48,6 @@ enum class SchedulerPolicy
     Scanline
 };
 
-const char *schedulerPolicyName(SchedulerPolicy policy);
-
-inline const char *
-schedulerPolicyName(SchedulerPolicy policy)
-{
-    switch (policy) {
-      case SchedulerPolicy::ZOrder: return "z-order";
-      case SchedulerPolicy::StaticSupertile: return "static-supertile";
-      case SchedulerPolicy::Libra: return "libra";
-      case SchedulerPolicy::TemperatureStatic: return "temperature-static";
-      case SchedulerPolicy::Scanline: return "scanline";
-    }
-    return "?";
-}
-
 /** Scheduler knobs; defaults are the paper's chosen values. */
 struct SchedulerConfig
 {

@@ -126,10 +126,8 @@ Dram::issue(Channel &channel, const QueueEntry &entry)
     libra_assert(bank.readyAt <= now, "issue to a busy bank");
 
     Tick cmd_start = now;
-#if LIBRA_FAULTS_ENABLED
     if (testStallEvery != 0 && ++issueSeq % testStallEvery == 0)
         cmd_start += testStallTicks;
-#endif
     bool row_hit = false;
     if (bank.rowOpen && bank.openRow == entry.row) {
         row_hit = true;

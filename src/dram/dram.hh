@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "cache/mem_system.hh"
-#include "check/faults_build.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
@@ -151,8 +150,7 @@ class Dram : public MemSink
      * Fault-injection hooks (armed by Gpu from a FaultPlan; see
      * src/check/fault_injector): every `testStallEvery`th issued
      * command starts `testStallTicks` late, modeling controller
-     * hiccups / thermal throttling bursts. 0 disables. Compiled out
-     * with LIBRA_FAULTS=OFF.
+     * hiccups / thermal throttling bursts. 0 disables.
      */
     std::uint64_t testStallEvery = 0;
     Tick testStallTicks = 0;

@@ -1,7 +1,6 @@
 #include "farm/farm_protocol.hh"
 
-#include <charconv>
-
+#include "gpu/policy_registry.hh"
 #include "trace/json.hh"
 
 namespace libra
@@ -33,43 +32,6 @@ asString(const JsonValue *v, const char *what)
                              "farm request: missing ", what);
     }
     return v->str;
-}
-
-/** "RxC" → (raster units, cores per RU). */
-Result<std::pair<std::uint32_t, std::uint32_t>>
-parseShape(const std::string &text)
-{
-    const auto x = text.find('x');
-    std::uint32_t r = 0, c = 0;
-    const char *rb = text.data();
-    const char *re = text.data() + (x == std::string::npos ? 0 : x);
-    auto [rp, rec] = std::from_chars(rb, re, r);
-    bool ok = x != std::string::npos && rec == std::errc() && rp == re;
-    if (ok) {
-        const char *cb = text.data() + x + 1;
-        const char *ce = text.data() + text.size();
-        auto [cp, cec] = std::from_chars(cb, ce, c);
-        ok = cec == std::errc() && cp == ce && r > 0 && c > 0;
-    }
-    if (!ok) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "config spec: expected RxC shape, got '",
-                             text, "'");
-    }
-    return std::pair{r, c};
-}
-
-Result<std::uint32_t>
-parseCount(const std::string &text, const char *what)
-{
-    std::uint32_t v = 0;
-    auto [p, ec] = std::from_chars(text.data(),
-                                   text.data() + text.size(), v);
-    if (ec != std::errc() || p != text.data() + text.size() || v == 0) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "config spec: bad ", what, " '", text, "'");
-    }
-    return v;
 }
 
 /** Re-render a parsed subtree as compact JSON (payload round-trip).
@@ -119,6 +81,21 @@ farmOpName(FarmOp op)
       case FarmOp::Shutdown: return "shutdown";
     }
     return "?";
+}
+
+Result<FarmOp>
+parseFarmOp(std::string_view name)
+{
+    std::string ops;
+    for (const FarmOp op : {FarmOp::Simulate, FarmOp::Ping, FarmOp::Stats,
+                            FarmOp::Shutdown}) {
+        if (name == farmOpName(op))
+            return op;
+        ops += ops.empty() ? "" : "|";
+        ops += farmOpName(op);
+    }
+    return Status::error(ErrorCode::InvalidArgument, "unknown op '", name,
+                         "' (want ", ops, ")");
 }
 
 const char *
@@ -191,29 +168,20 @@ parseFarmRequest(const std::string &line)
         req.id = id->str;
     }
 
-    std::string op = "simulate";
     if (const JsonValue *opv = doc->find("op")) {
         if (!opv->isString()) {
             return Status::error(ErrorCode::InvalidArgument,
                                  "farm request: op is not a string");
         }
-        op = opv->str;
+        Result<FarmOp> op = parseFarmOp(opv->str);
+        if (!op.isOk()) {
+            return Status::error(ErrorCode::InvalidArgument,
+                                 "farm request: ", op.status().message());
+        }
+        req.op = *op;
     }
-    if (op == "simulate") {
-        req.op = FarmOp::Simulate;
-    } else if (op == "ping") {
-        req.op = FarmOp::Ping;
+    if (req.op != FarmOp::Simulate)
         return req;
-    } else if (op == "stats") {
-        req.op = FarmOp::Stats;
-        return req;
-    } else if (op == "shutdown") {
-        req.op = FarmOp::Shutdown;
-        return req;
-    } else {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "farm request: unknown op '", op, "'");
-    }
 
     Result<std::string> bench =
         asString(doc->find("benchmark"), "benchmark");
@@ -339,93 +307,14 @@ parseFarmResponse(const std::string &line)
         resp.payload = w.str();
     }
     if (const JsonValue *rb = doc->find("report_bytes")) {
-        if (!rb->isNumber() || rb->number < 0) {
-            return Status::error(ErrorCode::CorruptData,
-                                 "farm response: bad report_bytes");
-        }
-        resp.reportBytes = static_cast<std::uint64_t>(rb->number);
+        Result<std::uint64_t> bytes =
+            jsonExactU64(rb, "report_bytes", ErrorCode::CorruptData,
+                         "farm response: ");
+        if (!bytes.isOk())
+            return bytes.status();
+        resp.reportBytes = *bytes;
     }
     return resp;
-}
-
-Result<GpuConfig>
-parseConfigSpec(const std::string &spec)
-{
-    // Split on ':' into head + args.
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t colon = spec.find(':', start);
-        parts.push_back(spec.substr(start, colon - start));
-        if (colon == std::string::npos)
-            break;
-        start = colon + 1;
-    }
-    const std::string &head = parts[0];
-
-    if (head == "baseline") {
-        std::uint32_t cores = 8;
-        if (parts.size() > 2) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "config spec: baseline takes at most "
-                                 "one :C argument");
-        }
-        if (parts.size() == 2) {
-            Result<std::uint32_t> c = parseCount(parts[1], "core count");
-            if (!c.isOk())
-                return c.status();
-            cores = *c;
-        }
-        return GpuConfig::baseline(cores);
-    }
-    if (head == "ptr" || head == "libra" || head == "re" ||
-        head == "re-libra") {
-        std::uint32_t rus = 2, cores = 4;
-        if (parts.size() > 2) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "config spec: ", head, " takes at most "
-                                 "one :RxC argument");
-        }
-        if (parts.size() == 2) {
-            Result<std::pair<std::uint32_t, std::uint32_t>> shape =
-                parseShape(parts[1]);
-            if (!shape.isOk())
-                return shape.status();
-            rus = shape->first;
-            cores = shape->second;
-        }
-        GpuConfig cfg = (head == "ptr" || head == "re")
-                            ? GpuConfig::ptr(rus, cores)
-                            : GpuConfig::libra(rus, cores);
-        if (head == "re" || head == "re-libra")
-            cfg.renderingElimination = true;
-        return cfg;
-    }
-    if (head == "supertile") {
-        if (parts.size() < 2 || parts.size() > 3) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "config spec: supertile needs "
-                                 "supertile:S[:RxC]");
-        }
-        Result<std::uint32_t> size =
-            parseCount(parts[1], "supertile size");
-        if (!size.isOk())
-            return size.status();
-        std::uint32_t rus = 2, cores = 4;
-        if (parts.size() == 3) {
-            Result<std::pair<std::uint32_t, std::uint32_t>> shape =
-                parseShape(parts[2]);
-            if (!shape.isOk())
-                return shape.status();
-            rus = shape->first;
-            cores = shape->second;
-        }
-        return GpuConfig::staticSupertile(*size, rus, cores);
-    }
-    return Status::error(ErrorCode::InvalidArgument,
-                         "config spec: unknown preset '", head,
-                         "' (want baseline/ptr/libra/supertile/re/"
-                         "re-libra)");
 }
 
 Result<GpuConfig>

@@ -21,11 +21,9 @@
  *   stats              — server counters as a JSON object (one line)
  *   shutdown           — stop the server after acknowledging
  *
- * Config specs are compact strings over the GpuConfig presets:
- *   "baseline[:C]"        one RU, C shader cores (default 8)
- *   "ptr[:RxC]"           R RUs of C cores, Z-order dispatch
- *   "libra[:RxC]"         R RUs of C cores, LIBRA scheduler
- *   "supertile:S[:RxC]"   static supertiles of size S
+ * A simulate request names its machine with a config spec, in the
+ * grammar parseConfigSpec (gpu/policy_registry.hh) defines: any
+ * registered policy name, with optional supertile size and RxC shape.
  */
 
 #ifndef LIBRA_FARM_FARM_PROTOCOL_HH
@@ -33,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.hh"
 #include "gpu/gpu_config.hh"
@@ -55,6 +54,9 @@ enum class FarmOp
 
 const char *farmOpName(FarmOp op);
 
+/** Inverse of farmOpName; InvalidArgument names @p name and the ops. */
+Result<FarmOp> parseFarmOp(std::string_view name);
+
 /** One parsed request line. */
 struct FarmRequest
 {
@@ -67,7 +69,7 @@ struct FarmRequest
     std::uint32_t height = 544;
     std::uint32_t frames = 4;
     std::uint32_t firstFrame = 0;
-    std::string config = "libra:2x4"; //!< config spec (file header)
+    std::string config; //!< config spec (parseConfigSpec grammar)
     std::string figure;               //!< free-form figure tag, echoed
 };
 
@@ -111,14 +113,11 @@ std::string farmResponseLine(const FarmResponse &resp);
 Result<FarmResponse> parseFarmResponse(const std::string &line);
 
 /**
- * Build the GpuConfig a request describes: preset spec + resolution.
+ * Build the GpuConfig a request describes: config spec + resolution.
  * The config is validated; InvalidArgument names the bad field so the
  * client sees an attributable error.
  */
 Result<GpuConfig> farmRequestConfig(const FarmRequest &req);
-
-/** Parse a config spec string alone (resolution left at defaults). */
-Result<GpuConfig> parseConfigSpec(const std::string &spec);
 
 } // namespace libra
 

@@ -134,7 +134,6 @@ Gpu::Gpu(const GpuConfig &cfg)
     for (auto &unit : rus)
         statGroup.addChild(unit->stats());
 
-#if LIBRA_FAULTS_ENABLED
     // Arm the low-level injection knobs from the attached fault plan.
     // The injector is shared across Gpu rebuilds (the runner builds a
     // fresh Gpu after a watchdog skip), but the knobs are plain
@@ -149,7 +148,6 @@ Gpu::Gpu(const GpuConfig &cfg)
         dramModel->testStallEvery = f->dramStallEvery();
         dramModel->testStallTicks = f->dramStallTicks();
     }
-#endif
 
     if (config.renderingElimination) {
         reStats.add("tiles_skipped", &reTilesSkipped);
@@ -380,7 +378,6 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
     const Tick frame_start = queue.now();
     Watchdog watchdog(config.watchdog, frame_start);
 
-#if LIBRA_FAULTS_ENABLED
     // Injected watchdog trip: abort this frame exactly as a genuine
     // expiry would (the Gpu wedges; the runner's skip path rebuilds).
     // Keyed on the injector's own frame counter, which is monotonic
@@ -395,7 +392,6 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
                          "geometry");
         }
     }
-#endif
 
     const RawTotals before = collectTotals();
 
@@ -408,8 +404,10 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
         phase_base.push_back(unit->phases().snapshot());
     }
 
-    LIBRA_TRACE_BEGIN(gpuLane, nameFrame, frame_start, framesRendered);
-    LIBRA_TRACE_BEGIN(gpuLane, nameGeometry, frame_start, 0);
+    if (gpuLane) {
+        gpuLane->begin(nameFrame, frame_start, framesRendered);
+        gpuLane->begin(nameGeometry, frame_start, 0);
+    }
 
     // Functional binning (the timing is charged by GeometryPipeline).
     const BinnedFrame binned = binFrame(frame, grid);
@@ -463,7 +461,8 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
         }
     }
     watchdog.progress(queue.now());
-    LIBRA_TRACE_END(gpuLane, geom_end); // geometry
+    if (gpuLane)
+        gpuLane->end(geom_end); // geometry
 
     // The temperature ranking must hide under the geometry phase
     // (§III-E). Warn if a configuration ever violates that.
@@ -477,7 +476,8 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
     rasterStartTick = queue.now();
     dramSampler.reset(rasterStartTick, config.dramTimelineInterval);
     rasterActive = true;
-    LIBRA_TRACE_BEGIN(gpuLane, nameRaster, rasterStartTick, 0);
+    if (gpuLane)
+        gpuLane->begin(nameRaster, rasterStartTick, 0);
     for (auto &unit : rus)
         unit->beginFrame(binned, pool);
     fetcher->beginFrame(binned);
@@ -514,12 +514,12 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
     const Tick frame_end = queue.now();
     for (auto &unit : rus)
         unit->syncPhase(frame_end);
-    LIBRA_TRACE_END(gpuLane, frame_end); // raster
-    LIBRA_TRACE_END(gpuLane, frame_end); // frame
-#if LIBRA_TRACING_ENABLED
+    if (gpuLane) {
+        gpuLane->end(frame_end); // raster
+        gpuLane->end(frame_end); // frame
+    }
     if (dramLane)
         dramSampler.flushTo(*dramLane, nameDramRequests);
-#endif
     const RawTotals after = collectTotals();
 
     // --- Package the stats ----------------------------------------------

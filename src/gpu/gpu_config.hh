@@ -113,8 +113,7 @@ struct GpuConfig
      * attempt by SweepRunner when a FaultPlan is in force; null in
      * normal runs. Like the watchdog's CancelToken this is a runtime
      * attachment, not a property of the simulated machine, so it is
-     * excluded from configHash(). Ignored entirely when the hooks are
-     * compiled out (LIBRA_FAULTS=OFF).
+     * excluded from configHash().
      */
     std::shared_ptr<FaultInjector> faults;
 

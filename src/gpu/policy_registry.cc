@@ -1,5 +1,8 @@
 #include "gpu/policy_registry.hh"
 
+#include <algorithm>
+#include <charconv>
+
 namespace libra
 {
 
@@ -27,6 +30,37 @@ policyRegistry()
     };
     return registry;
 }
+
+namespace
+{
+
+// Legacy config-spec heads (parseConfigSpec), kept so that existing farm
+// clients, journals and result-cache keys keep working. Both name the
+// zorder entry: `ptr[:RxC]` takes the registry's shape argument,
+// `baseline[:C]` is one Raster Unit of C cores (Table I's baseline).
+constexpr std::string_view kPtrAlias = "ptr";
+constexpr std::string_view kBaselineAlias = "baseline";
+constexpr std::string_view kAliasedPolicy = "zorder";
+constexpr std::uint32_t kBaselineCores = 8;
+
+/** Whether @p policy reads SchedulerConfig::staticSupertileSize. */
+bool
+readsStaticSupertileSize(SchedulerPolicy policy)
+{
+    return policy == SchedulerPolicy::StaticSupertile
+        || policy == SchedulerPolicy::TemperatureStatic;
+}
+
+/** Decimal count >= 1 spanning all of @p digits. */
+bool
+parseCount(std::string_view digits, std::uint32_t &out)
+{
+    const char *end = digits.data() + digits.size();
+    const auto [p, ec] = std::from_chars(digits.data(), end, out);
+    return ec == std::errc() && p == end && out > 0;
+}
+
+} // namespace
 
 const PolicyInfo *
 findPolicy(std::string_view name)
@@ -73,6 +107,74 @@ policyNameFor(const GpuConfig &cfg)
         }
     }
     return "?";
+}
+
+Result<GpuConfig>
+parseConfigSpec(std::string_view spec)
+{
+    auto bad = [&](const char *what, std::string_view text) {
+        return Status::error(ErrorCode::InvalidArgument, "config spec '",
+                             spec, "': ", what, " '", text, "'");
+    };
+
+    // <name>, then each ':'-separated argument.
+    const std::string_view name = spec.substr(0, spec.find(':'));
+    std::vector<std::string_view> args;
+    for (std::size_t pos = name.size(); pos < spec.size();) {
+        const std::size_t end = std::min(spec.find(':', pos + 1),
+                                         spec.size());
+        args.push_back(spec.substr(pos + 1, end - pos - 1));
+        pos = end;
+    }
+
+    const bool baseline = name == kBaselineAlias;
+    const PolicyInfo *info = findPolicy(
+        baseline || name == kPtrAlias ? kAliasedPolicy : name);
+    if (!info) {
+        return Status::error(ErrorCode::InvalidArgument, "config spec '",
+                             spec, "': unknown policy '", name,
+                             "' (registered: ", policyNames(),
+                             "; legacy: ", kPtrAlias, ", ",
+                             kBaselineAlias, ")");
+    }
+
+    GpuConfig cfg; // default shape: LIBRA's two RUs of four cores
+    cfg.rasterUnits = 2;
+    cfg.coresPerRu = 4;
+    std::size_t next = 0;
+    if (baseline) {
+        cfg.rasterUnits = 1;
+        cfg.coresPerRu = kBaselineCores;
+        if (next < args.size()) {
+            const std::string_view cores = args[next++];
+            if (!parseCount(cores, cfg.coresPerRu))
+                return bad("bad core count", cores);
+        }
+    } else {
+        // The shape always holds an 'x'; an argument without one is :S.
+        if (next < args.size()
+            && args[next].find('x') == std::string_view::npos) {
+            const std::string_view size = args[next++];
+            if (!readsStaticSupertileSize(info->sched))
+                return bad("policy takes no :S argument", size);
+            if (!parseCount(size, cfg.sched.staticSupertileSize))
+                return bad("bad supertile size", size);
+        }
+        if (next < args.size()) {
+            const std::string_view shape = args[next++];
+            const std::size_t x = shape.find('x');
+            if (x == std::string_view::npos
+                || !parseCount(shape.substr(0, x), cfg.rasterUnits)
+                || !parseCount(shape.substr(x + 1), cfg.coresPerRu)) {
+                return bad("bad RxC shape", shape);
+            }
+        }
+    }
+    if (next != args.size())
+        return bad("extra argument", args[next]);
+    if (Status st = applyPolicy(cfg, info->name); !st.isOk())
+        return st;
+    return cfg;
 }
 
 } // namespace libra

@@ -10,6 +10,8 @@
  * enumerable by name, so:
  *
  *  - every bench accepts `--policy <name>` (bench/bench_common.hh);
+ *  - every name is a config spec (parseConfigSpec below), the one
+ *    grammar farm requests use to name a machine (DESIGN.md §12);
  *  - fuzzGpuConfig draws uniformly over the registry, so the
  *    conservation laws sweep every mechanism (src/check);
  *  - tests/test_policy_conformance.cc runs the full determinism /
@@ -66,8 +68,32 @@ std::string policyNames();
 /**
  * Reverse lookup: the registry name matching @p cfg's mechanism
  * fields, or "?" when the combination is not a registered preset.
+ * Run reports echo it as their "scheduler" member.
  */
 const char *policyNameFor(const GpuConfig &cfg);
+
+/**
+ * Parse a config spec, the one grammar that names a preset machine:
+ *
+ *   <name>[:S][:RxC]
+ *
+ *   <name>  any registry entry, applied with applyPolicy() to a
+ *           default GpuConfig of R Raster Units of C cores each
+ *   :S      sched.staticSupertileSize (default 4); accepted only for
+ *           the policies that read it (supertile, temperature)
+ *   :RxC    machine shape, R and C >= 1 (default 2x4)
+ *
+ * e.g. `libra`, `zorder:1x8`, `supertile:4:2x4`, `re-libra:4x2`.
+ * Two legacy heads stay as aliases, so existing farm clients, journals
+ * and result-cache keys keep working:
+ *
+ *   ptr[:RxC]      = zorder[:RxC]
+ *   baseline[:C]   = zorder:1xC (default C = 8)
+ *
+ * Resolution is left at the GpuConfig default and the result is not
+ * validated. A malformed spec is InvalidArgument naming the bad part.
+ */
+Result<GpuConfig> parseConfigSpec(std::string_view spec);
 
 } // namespace libra
 

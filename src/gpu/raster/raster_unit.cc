@@ -217,8 +217,8 @@ RasterUnit::processWork(const RasterWork &work)
         ctx->rect = grid.tileRect(work.tile);
         ctx->zbuf.beginTile(ctx->rect);
         ctx->blender.beginTile(ctx->rect);
-        LIBRA_TRACE_ASYNC_BEGIN(traceLane, traceTileName, work.tile,
-                                now);
+        if (traceLane)
+            traceLane->asyncBegin(traceTileName, work.tile, now);
         if (!frag)
             frag = std::move(ctx);
         else
@@ -568,8 +568,9 @@ RasterUnit::startFlush()
             TileDoneInfo info = fin->done;
             info.flushedAt = queue.now();
             info.colorBuffer = fin->color ? fin->color.get() : nullptr;
-            LIBRA_TRACE_ASYNC_END(traceLane, traceTileName, fin->tile,
-                                  info.flushedAt);
+            if (traceLane)
+                traceLane->asyncEnd(traceTileName, fin->tile,
+                                    info.flushedAt);
             if (onTileDone)
                 onTileDone(info);
             updatePhase();
@@ -583,8 +584,8 @@ RasterUnit::startFlush()
                     info.flushedAt = when;
                     info.colorBuffer =
                         fin->color ? fin->color.get() : nullptr;
-                    LIBRA_TRACE_ASYNC_END(traceLane, traceTileName,
-                                          fin->tile, when);
+                    if (traceLane)
+                        traceLane->asyncEnd(traceTileName, fin->tile, when);
                     if (onTileDone)
                         onTileDone(info);
                     updatePhase();

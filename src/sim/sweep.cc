@@ -296,7 +296,6 @@ runPolicyJob(PolicyRun &run, std::size_t index)
         ++outcome.attempts;
         SweepJob job = (*run.jobs)[index]; // fresh copy per attempt
 
-#if LIBRA_FAULTS_ENABLED
         std::shared_ptr<FaultInjector> injector;
         if (!policy.faults.empty()) {
             // Fresh injector per attempt: a retry replays exactly the
@@ -305,7 +304,6 @@ runPolicyJob(PolicyRun &run, std::size_t index)
                 std::make_shared<FaultInjector>(policy.faults, index);
             job.config.faults = injector;
         }
-#endif
         if (policy.deadlineMs != 0) {
             auto token = std::make_shared<CancelToken>();
             token->setDeadlineAfterMs(policy.deadlineMs);
@@ -313,13 +311,11 @@ runPolicyJob(PolicyRun &run, std::size_t index)
         }
 
         Result<RunResult> r = [&]() -> Result<RunResult> {
-#if LIBRA_FAULTS_ENABLED
             if (injector && injector->failAttempt(attempt)) {
                 return Status::error(ErrorCode::Unavailable,
                                      "injected transient failure "
                                      "(attempt ", attempt, ")");
             }
-#endif
             return runJob(job, run.cache, checkpoint);
         }();
 
@@ -400,12 +396,10 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
                 out.jobs[i].result = attributed(run, i, st);
             return out;
         }
-#if LIBRA_FAULTS_ENABLED
         if (!policy.faults.empty()) {
             journal.armKill(
                 FaultInjector(policy.faults, 0).killAtAppend());
         }
-#endif
         run.journal = &journal;
     }
 

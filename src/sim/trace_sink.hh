@@ -15,16 +15,13 @@
  * append order), so identical simulations produce byte-identical traces
  * regardless of host or sweep worker count.
  *
- * Cost model:
- *  - compiled out: build with -DLIBRA_TRACING_ENABLED=0 (cmake option
- *    LIBRA_TRACING=OFF) and every LIBRA_TRACE_* macro expands to
- *    nothing — zero code, zero branches;
- *  - compiled in, disabled: the macros test one pointer and skip;
- *  - enabled: one bounds-checked vector push_back per event.
+ * Cost model: a component holds a Lane pointer that is null unless a
+ * sink is attached, so an untraced run pays one pointer test per call
+ * site; a traced run pays one vector push_back per event.
  *
  * IntervalSampler (DRAM-bandwidth timelines, Fig. 7) is part of this
- * subsystem but NOT behind the macro: its samples feed FrameStats and
- * the benches even in tracing-off builds.
+ * subsystem but records whether or not a sink is attached: its samples
+ * feed FrameStats and the benches.
  */
 
 #ifndef LIBRA_SIM_TRACE_SINK_HH
@@ -38,10 +35,6 @@
 
 #include "common/status.hh"
 #include "common/types.hh"
-
-#ifndef LIBRA_TRACING_ENABLED
-#define LIBRA_TRACING_ENABLED 1
-#endif
 
 namespace libra
 {
@@ -233,42 +226,5 @@ class IntervalSampler
 };
 
 } // namespace libra
-
-// Zero-cost instrumentation macros: compiled to nothing under
-// LIBRA_TRACING_ENABLED=0, a single pointer test otherwise. @p lane is
-// a TraceSink::Lane* that may be null.
-#if LIBRA_TRACING_ENABLED
-#define LIBRA_TRACE_BEGIN(lane, name_id, tick, arg)                    \
-    do {                                                               \
-        if (lane)                                                      \
-            (lane)->begin((name_id), (tick), (arg));                   \
-    } while (0)
-#define LIBRA_TRACE_END(lane, tick)                                    \
-    do {                                                               \
-        if (lane)                                                      \
-            (lane)->end(tick);                                         \
-    } while (0)
-#define LIBRA_TRACE_ASYNC_BEGIN(lane, name_id, id, tick)               \
-    do {                                                               \
-        if (lane)                                                      \
-            (lane)->asyncBegin((name_id), (id), (tick));               \
-    } while (0)
-#define LIBRA_TRACE_ASYNC_END(lane, name_id, id, tick)                 \
-    do {                                                               \
-        if (lane)                                                      \
-            (lane)->asyncEnd((name_id), (id), (tick));                 \
-    } while (0)
-#define LIBRA_TRACE_COUNTER(lane, name_id, tick, value)                \
-    do {                                                               \
-        if (lane)                                                      \
-            (lane)->counter((name_id), (tick), (value));               \
-    } while (0)
-#else
-#define LIBRA_TRACE_BEGIN(lane, name_id, tick, arg) do {} while (0)
-#define LIBRA_TRACE_END(lane, tick) do {} while (0)
-#define LIBRA_TRACE_ASYNC_BEGIN(lane, name_id, id, tick) do {} while (0)
-#define LIBRA_TRACE_ASYNC_END(lane, name_id, id, tick) do {} while (0)
-#define LIBRA_TRACE_COUNTER(lane, name_id, tick, value) do {} while (0)
-#endif
 
 #endif // LIBRA_SIM_TRACE_SINK_HH

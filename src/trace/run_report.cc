@@ -1,5 +1,6 @@
 #include "trace/run_report.hh"
 
+#include "gpu/policy_registry.hh"
 #include "trace/json.hh"
 
 namespace libra
@@ -28,7 +29,7 @@ writeConfig(JsonWriter &w, const RunResult &result)
     w.key("warps_per_core");
     w.value(cfg.warpsPerCore);
     w.key("scheduler");
-    w.value(schedulerPolicyName(cfg.sched.policy));
+    w.value(policyNameFor(cfg));
     w.key("ideal_memory");
     w.value(cfg.idealMemory);
     w.key("transaction_elimination");

@@ -104,6 +104,20 @@ TEST(FarmProtocol, NonSimulateOpsRoundTrip)
     }
 }
 
+TEST(FarmProtocol, FarmOpNamesRoundTrip)
+{
+    for (const FarmOp op : {FarmOp::Simulate, FarmOp::Ping, FarmOp::Stats,
+                            FarmOp::Shutdown}) {
+        Result<FarmOp> back = parseFarmOp(farmOpName(op));
+        ASSERT_TRUE(back.isOk()) << back.status().toString();
+        EXPECT_EQ(*back, op);
+    }
+    Result<FarmOp> bad = parseFarmOp("fly");
+    ASSERT_FALSE(bad.isOk());
+    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(bad.status().message().find("'fly'"), std::string::npos);
+}
+
 TEST(FarmProtocol, RequestParseRejectsGarbage)
 {
     EXPECT_FALSE(parseFarmRequest("not json").isOk());
@@ -138,6 +152,30 @@ TEST(FarmProtocol, ResponseRoundTripsIncludingPayload)
     // parse it as JSON (stats counters), and numbers must not be
     // mangled through a double round-trip.
     EXPECT_EQ(back->payload, resp.payload);
+}
+
+TEST(FarmProtocol, ResponseReportBytesAreExact)
+{
+    // report_bytes frames the report that follows, so it must be an
+    // exact integer: a fraction, a sign or an exponent is a corrupt
+    // header, never a truncated or undefined cast.
+    const std::string head =
+        R"({"schema":"libra.farm_response/1","status":"ok","report_bytes":)";
+    for (const char *bad : {"1.5", "-1", "1e300"}) {
+        Result<FarmResponse> resp = parseFarmResponse(head + bad + "}");
+        ASSERT_FALSE(resp.isOk()) << "accepted report_bytes " << bad;
+        EXPECT_EQ(resp.status().code(), ErrorCode::CorruptData) << bad;
+    }
+
+    FarmResponse resp;
+    resp.status = "ok";
+    resp.reportBytes = UINT64_MAX;
+    const std::string line = farmResponseLine(resp);
+    EXPECT_NE(line.find("18446744073709551615"), std::string::npos)
+        << line;
+    Result<FarmResponse> back = parseFarmResponse(line);
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(back->reportBytes, UINT64_MAX);
 }
 
 TEST(FarmProtocol, ErrorResponseCarriesAttribution)
@@ -220,11 +258,34 @@ TEST(FarmProtocol, PolicyPresetsProduceDistinctCacheKeys)
     EXPECT_NE(off.configHash(), on.configHash());
 }
 
+TEST(FarmProtocol, ConfigSpecCacheKeysArePinned)
+{
+    // Farm result-cache keys start with configHash(), so a spec that
+    // starts hashing differently orphans every entry stored under it.
+    // These literals were recorded before the registry owned the
+    // grammar; an edit that moves one moves a farm cache key.
+    const std::pair<const char *, std::uint64_t> pins[] = {
+        {"baseline:2", 0x133ec4979a1095dbull},
+        {"ptr:2x4", 0x8a67e9df6b1c2f36ull},
+        {"libra:2x4", 0x52619ecda296ae7bull},
+        {"supertile:4:2x4", 0x2e01eb7cbf0f4590ull},
+        {"re:2x4", 0x2476097e440a709dull},
+        {"re-libra:4x2", 0xb2e31e72bc9e60bbull},
+        {"libra", 0x52619ecda296ae7bull},
+    };
+    for (const auto &[spec, hash] : pins) {
+        Result<GpuConfig> cfg = parseConfigSpec(spec);
+        ASSERT_TRUE(cfg.isOk()) << cfg.status().toString();
+        EXPECT_EQ(cfg->configHash(), hash) << spec;
+    }
+}
+
 TEST(FarmProtocol, ConfigSpecRejectsMalformedSpecs)
 {
     for (const char *bad : {"", "warp-drive", "libra:2x", "libra:x4",
-                            "ptr:0x4", "baseline:", "supertile",
-                            "supertile:4:2x4:extra", "libra:2x4x8"}) {
+                            "ptr:0x4", "baseline:",
+                            "supertile:4:2x4:extra", "libra:2x4x8",
+                            "libra:4", "re:4:2x4", "zorder:0x4"}) {
         Result<GpuConfig> cfg = parseConfigSpec(bad);
         EXPECT_FALSE(cfg.isOk()) << "accepted spec '" << bad << "'";
         if (!cfg.isOk()) {
@@ -232,6 +293,13 @@ TEST(FarmProtocol, ConfigSpecRejectsMalformedSpecs)
                 << bad;
         }
     }
+
+    // A bare supertile is the registry's: default size on the default
+    // machine.
+    Result<GpuConfig> supertile = parseConfigSpec("supertile");
+    ASSERT_TRUE(supertile.isOk()) << supertile.status().toString();
+    EXPECT_EQ(supertile->configHash(),
+              parseConfigSpec("supertile:4:2x4")->configHash());
 }
 
 TEST(FarmProtocol, RequestConfigAppliesResolutionAndThreads)
@@ -288,7 +356,7 @@ TEST(FarmProtocol, RequestConfigRejectsInvalidResolution)
 TEST(ResultCacheTest, KeyToStringIsCanonical)
 {
     EXPECT_EQ(sampleKey().toString(),
-              "cfg:0123456789abcdef:scene:fedcba9876543210:f4@2:v3");
+              "cfg:0123456789abcdef:scene:fedcba9876543210:f4@2:v4");
 }
 
 TEST(ResultCacheTest, KeyDistinguishesEveryField)

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "gpu/gpu.hh"
+#include "gpu/policy_registry.hh"
 #include "gpu/runner.hh"
 #include "trace/json.hh"
 #include "trace/run_report.hh"
@@ -126,12 +127,6 @@ TEST(TraceExport, RealRunProducesValidTrace)
     cfg.traceEvents = true;
     const RunResult r = run(cfg, 2);
     ASSERT_NE(r.trace, nullptr);
-#if !LIBRA_TRACING_ENABLED
-    // Tracing compiled out: the sink is attached but the macros are
-    // no-ops, so the export must be an empty (still valid) trace.
-    EXPECT_EQ(r.trace->eventCount(), 0u);
-    GTEST_SKIP() << "built with LIBRA_TRACING=OFF";
-#endif
     EXPECT_GT(r.trace->eventCount(), 0u);
 
     const auto doc = parseJson(r.trace->chromeTraceJson());
@@ -229,6 +224,23 @@ TEST(RunReport, DocumentParsesAndCarriesSchema)
     EXPECT_FALSE(counters->members.empty());
     // Spot-check a counter that must exist on this config.
     EXPECT_NE(counters->find("gpu.ru1.tiles_rendered"), nullptr);
+}
+
+TEST(RunReport, SchedulerEchoesRegistryName)
+{
+    // The config echo names the registry preset, so a Rendering
+    // Elimination run is told apart from its scheduling policy alone.
+    // A frameless result carries the config; nothing is simulated.
+    for (const PolicyInfo &p : policyRegistry()) {
+        RunResult r;
+        r.benchmark = "CCS";
+        ASSERT_TRUE(applyPolicy(r.config, p.name).isOk());
+        const auto doc = parseJson(runReportJson(r));
+        ASSERT_TRUE(doc.isOk()) << doc.status().toString();
+        const JsonValue *config = doc->find("config");
+        ASSERT_NE(config, nullptr);
+        EXPECT_EQ(config->find("scheduler")->str, p.name);
+    }
 }
 
 TEST(RunReport, SweepReportWrapsRuns)

@@ -304,6 +304,50 @@ TEST(PolicyRegistry, NamesAreUniqueAndRoundTrip)
     EXPECT_GE(seen.size(), 7u);
 }
 
+TEST(PolicyRegistry, EveryNameIsAConfigSpec)
+{
+    // <name>[:RxC] is applyPolicy() on a default GpuConfig of that
+    // shape (2x4 when omitted), and the parsed config echoes the name.
+    struct Shape
+    {
+        const char *suffix;
+        std::uint32_t rasterUnits, coresPerRu;
+    };
+    for (const PolicyInfo &p : policyRegistry()) {
+        for (const Shape &shape :
+             {Shape{"", 2, 4}, Shape{":1x8", 1, 8}, Shape{":4x2", 4, 2}}) {
+            const std::string spec = std::string(p.name) + shape.suffix;
+            Result<GpuConfig> parsed = parseConfigSpec(spec);
+            ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+            GpuConfig want;
+            want.rasterUnits = shape.rasterUnits;
+            want.coresPerRu = shape.coresPerRu;
+            ASSERT_TRUE(applyPolicy(want, p.name).isOk());
+            EXPECT_EQ(parsed->configHash(), want.configHash()) << spec;
+            EXPECT_STREQ(policyNameFor(*parsed), p.name) << spec;
+        }
+
+        // :S sets the static supertile size, and only the policies that
+        // read it accept one.
+        const std::string name = p.name;
+        const bool takes_size = name == "supertile" || name == "temperature";
+        for (const auto &[suffix, shape] :
+             {std::pair{":8", ""}, std::pair{":8:4x2", ":4x2"}}) {
+            Result<GpuConfig> sized = parseConfigSpec(name + suffix);
+            ASSERT_EQ(sized.isOk(), takes_size) << name << suffix;
+            if (!takes_size) {
+                EXPECT_EQ(sized.status().code(), ErrorCode::InvalidArgument);
+                continue;
+            }
+            Result<GpuConfig> want = parseConfigSpec(name + shape);
+            ASSERT_TRUE(want.isOk());
+            want->sched.staticSupertileSize = 8;
+            EXPECT_EQ(sized->configHash(), want->configHash())
+                << name << suffix;
+        }
+    }
+}
+
 TEST(PolicyRegistry, UnknownNameIsAnAttributableError)
 {
     GpuConfig cfg = GpuConfig::ptr(2, 4);
