@@ -203,7 +203,8 @@ parseBenchOptions(int argc, char **argv,
               "--checkpoint-dir DIR");
     }
 
-    libra_assert(opt.frames >= 2, "benches need at least 2 frames");
+    if (opt.frames < 2)
+        fatal("--frames ", opt.frames, ": benches need at least 2 frames");
     return opt;
 }
 

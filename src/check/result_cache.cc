@@ -1,7 +1,6 @@
 #include "check/result_cache.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <system_error>
 
@@ -17,6 +16,20 @@ namespace
 
 namespace fs = std::filesystem;
 
+/** The container header an entry for @p key carries; its fields are
+ *  the key (the warm-prefix hash is unused by cache entries). */
+SnapshotHeader
+headerOf(const ResultCacheKey &key)
+{
+    SnapshotHeader header;
+    header.configHash = key.configHash;
+    header.sceneHash = key.sceneHash;
+    header.codeVersion = key.codeVersion;
+    header.firstFrame = key.firstFrame;
+    header.framesDone = key.frames;
+    return header;
+}
+
 } // namespace
 
 std::string
@@ -31,25 +44,14 @@ ResultCacheKey::toString() const
 std::string
 ResultCache::entryFileName(const ResultCacheKey &key)
 {
-    return "res_" + hex16(key.configHash) + "_" + hex16(key.sceneHash)
-        + "_f" + std::to_string(key.frames) + "@"
-        + std::to_string(key.firstFrame) + "_v"
-        + std::to_string(key.codeVersion) + ".lrc";
+    return keyedSnapshotFileName("res", headerOf(key), ".lrc");
 }
 
 std::vector<std::uint8_t>
 buildResultCacheEntry(const ResultCacheKey &key,
                       const std::string &report_json)
 {
-    SnapshotHeader header;
-    header.configHash = key.configHash;
-    header.warmPrefixHash = 0; // unused by cache entries
-    header.sceneHash = key.sceneHash;
-    header.codeVersion = key.codeVersion;
-    header.firstFrame = key.firstFrame;
-    header.framesDone = key.frames;
-
-    SnapshotWriter w(header);
+    SnapshotWriter w(headerOf(key));
     w.beginSection(SnapSection::CachedReport);
     w.putString(report_json);
     w.endSection();
@@ -101,17 +103,10 @@ ResultCache::open(const std::string &dir)
 Result<std::string>
 ResultCache::lookup(const ResultCacheKey &key) const
 {
-    const fs::path path = fs::path(dirPath) / entryFileName(key);
-    std::error_code ec;
-    if (!fs::exists(path, ec) || ec) {
-        return Status::error(ErrorCode::NotFound,
-                             "result cache: no entry for ",
-                             key.toString());
-    }
-    Result<std::vector<std::uint8_t>> bytes =
-        readSnapshotFile(path.string());
+    Result<std::vector<std::uint8_t>> bytes = readSnapshotFile(
+        (fs::path(dirPath) / entryFileName(key)).string());
     if (!bytes.isOk())
-        return bytes.status();
+        return bytes.status(); // NotFound is a plain miss
     return parseResultCacheEntry(key, std::move(*bytes));
 }
 
@@ -119,28 +114,9 @@ Status
 ResultCache::store(const ResultCacheKey &key,
                    const std::string &report_json)
 {
-    const std::vector<std::uint8_t> bytes =
-        buildResultCacheEntry(key, report_json);
-    // Unique temp name per store so concurrent writers never share a
-    // partially-written file; rename is atomic within the directory.
-    static std::atomic<std::uint64_t> tempSeq{0};
-    const std::uint64_t seq =
-        tempSeq.fetch_add(1, std::memory_order_relaxed);
-    const fs::path dir(dirPath);
-    const fs::path tmp =
-        dir / (entryFileName(key) + ".tmp" + std::to_string(seq));
-    const fs::path final_path = dir / entryFileName(key);
-    if (Status st = writeSnapshotFile(tmp.string(), bytes); !st.isOk())
-        return st;
-    std::error_code ec;
-    fs::rename(tmp, final_path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return Status::error(ErrorCode::IoError,
-                             "result cache: cannot publish entry ",
-                             final_path.string(), ": ", ec.message());
-    }
-    return Status::ok();
+    return writeSnapshotFile(
+        (fs::path(dirPath) / entryFileName(key)).string(),
+        buildResultCacheEntry(key, report_json));
 }
 
 bool

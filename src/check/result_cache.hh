@@ -24,10 +24,11 @@
  * snapshotSceneHash, hashCombine in common/rng.hh) — so stale entries
  * are refused rather than mis-served.
  *
- * Concurrency: store() goes through a unique temp file + atomic rename,
- * so concurrent writers of the same key race harmlessly (last rename
- * wins, both images are valid and identical) and readers never observe
- * a half-written entry.
+ * Concurrency: store() publishes through writeSnapshotFile (a temp file
+ * unique across processes, then an atomic rename), so concurrent
+ * writers of the same key race harmlessly (last rename wins, both
+ * images are valid and identical) and readers never observe a
+ * half-written entry.
  */
 
 #ifndef LIBRA_CHECK_RESULT_CACHE_HH
@@ -79,8 +80,8 @@ struct ResultCacheKey
 
 /**
  * Directory-backed result cache. One file per entry
- * (`res_<cfg>_<scene>_f<N>@<F>_v<V>.lrc`); no manifest — the key fully
- * determines the file name, so lookup is a single open.
+ * (`res_<cfg>_<scene>_f<N>@<F>_v<V>.lrc`, keyedSnapshotFileName): the
+ * key fully determines the file name, so lookup is a single open.
  */
 class ResultCache
 {

@@ -1,11 +1,13 @@
 #include "check/snapshot.hh"
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
+
+#include <unistd.h>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -18,8 +20,6 @@ namespace
 {
 
 constexpr char kMagic[4] = {'L', 'S', 'N', 'P'};
-constexpr const char *kManifestSchema = "libra.snapshot_manifest/1";
-constexpr const char *kManifestFile = "manifest.json";
 
 /** CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), lazy table. */
 std::uint32_t
@@ -71,27 +71,6 @@ readU64(const std::uint8_t *p)
     for (int i = 0; i < 8; ++i)
         v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
     return v;
-}
-
-/** Exact u64 from a JSON number via its preserved raw literal. */
-Result<std::uint64_t>
-asU64(const JsonValue *v, const char *what)
-{
-    return jsonExactU64(v, what, ErrorCode::CorruptData, "manifest: ");
-}
-
-std::string
-manifestPath(const std::string &dir)
-{
-    return dir + "/" + kManifestFile;
-}
-
-/** Serializes every manifest read-modify-write in this process. */
-std::mutex &
-manifestMutex()
-{
-    static std::mutex m;
-    return m;
 }
 
 } // namespace
@@ -410,29 +389,41 @@ snapshotSceneHash(const std::string &abbrev, std::uint32_t width,
 }
 
 std::string
-snapshotFileName(std::uint64_t config_hash, std::uint64_t scene_hash,
-                 std::uint32_t frames_done)
+keyedSnapshotFileName(const char *stem, const SnapshotHeader &key,
+                      const char *ext)
 {
-    return "ckpt_" + hex16(config_hash) + "_" + hex16(scene_hash) + "_f"
-           + std::to_string(frames_done) + ".lsnp";
+    return std::string(stem) + "_" + hex16(key.configHash) + "_"
+        + hex16(key.sceneHash) + "_f" + std::to_string(key.framesDone)
+        + "@" + std::to_string(key.firstFrame) + "_v"
+        + std::to_string(key.codeVersion) + ext;
 }
 
 Status
 writeSnapshotFile(const std::string &path,
                   const std::vector<std::uint8_t> &bytes)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
+    static std::atomic<std::uint64_t> tempSeq{0};
+    const std::string tmp = path + ".tmp" + std::to_string(::getpid())
+        + "_"
+        + std::to_string(tempSeq.fetch_add(1, std::memory_order_relaxed));
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         return Status::error(ErrorCode::IoError, "snapshot: cannot open ",
-                             path, " for writing: ",
-                             std::strerror(errno));
+                             tmp, " for writing: ", std::strerror(errno));
     }
     const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
     const bool write_ok = n == bytes.size();
     const bool close_ok = std::fclose(f) == 0;
     if (!write_ok || !close_ok) {
+        std::remove(tmp.c_str());
         return Status::error(ErrorCode::IoError,
-                             "snapshot: short write to ", path);
+                             "snapshot: short write to ", tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        const int err = errno;
+        std::remove(tmp.c_str());
+        return Status::error(ErrorCode::IoError, "snapshot: cannot publish ",
+                             path, ": ", std::strerror(err));
     }
     return Status::ok();
 }
@@ -442,8 +433,11 @@ readSnapshotFile(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
-        return Status::error(ErrorCode::IoError, "snapshot: cannot open ",
-                             path, ": ", std::strerror(errno));
+        const int err = errno;
+        return Status::error(err == ENOENT ? ErrorCode::NotFound
+                                           : ErrorCode::IoError,
+                             "snapshot: cannot open ", path, ": ",
+                             std::strerror(err));
     }
     std::vector<std::uint8_t> bytes;
     std::uint8_t buf[65536];
@@ -457,160 +451,6 @@ readSnapshotFile(const std::string &path)
                              path, " failed");
     }
     return bytes;
-}
-
-Result<std::vector<SnapshotManifestEntry>>
-loadSnapshotManifest(const std::string &dir)
-{
-    std::vector<SnapshotManifestEntry> entries;
-    const std::string path = manifestPath(dir);
-    Result<std::string> text = readTextFile(path);
-    if (!text.isOk()) {
-        if (text.status().code() == ErrorCode::NotFound)
-            return entries; // fresh checkpoint dir: no manifest yet
-        return Status::error(text.status().code(), "manifest: ",
-                             text.status().message());
-    }
-
-    Result<JsonValue> doc = parseJson(*text);
-    if (!doc.isOk())
-        return doc.status();
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || !schema->isString()
-        || schema->str != kManifestSchema) {
-        return Status::error(ErrorCode::CorruptData, "manifest ", path,
-                             ": wrong schema (expected ",
-                             kManifestSchema, ")");
-    }
-    const JsonValue *snaps = doc->find("snapshots");
-    if (!snaps || !snaps->isArray()) {
-        return Status::error(ErrorCode::CorruptData, "manifest ", path,
-                             ": missing snapshots array");
-    }
-    for (const JsonValue &row : snaps->items) {
-        if (!row.isObject()) {
-            return Status::error(ErrorCode::CorruptData, "manifest ",
-                                 path, ": snapshot row is not an "
-                                 "object");
-        }
-        SnapshotManifestEntry e;
-        const JsonValue *cfg = row.find("config_hash");
-        const JsonValue *scene = row.find("scene_hash");
-        const JsonValue *file = row.find("file");
-        if (!cfg || !cfg->isString() || !scene || !scene->isString()
-            || !file || !file->isString()) {
-            return Status::error(ErrorCode::CorruptData, "manifest ",
-                                 path, ": row lacks hashes/file");
-        }
-        Result<std::uint64_t> ch =
-            parseHex64(cfg->str, "config_hash", "manifest: ");
-        if (!ch.isOk())
-            return ch.status();
-        e.configHash = *ch;
-        Result<std::uint64_t> sh =
-            parseHex64(scene->str, "scene_hash", "manifest: ");
-        if (!sh.isOk())
-            return sh.status();
-        e.sceneHash = *sh;
-        e.file = file->str;
-
-        Result<std::uint64_t> cv =
-            asU64(row.find("code_version"), "code_version");
-        if (!cv.isOk())
-            return cv.status();
-        e.codeVersion = static_cast<std::uint32_t>(*cv);
-        Result<std::uint64_t> ff =
-            asU64(row.find("first_frame"), "first_frame");
-        if (!ff.isOk())
-            return ff.status();
-        e.firstFrame = static_cast<std::uint32_t>(*ff);
-        Result<std::uint64_t> fd =
-            asU64(row.find("frames_done"), "frames_done");
-        if (!fd.isOk())
-            return fd.status();
-        e.framesDone = static_cast<std::uint32_t>(*fd);
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-Status
-recordSnapshotInManifest(const std::string &dir,
-                         const SnapshotManifestEntry &entry)
-{
-    std::lock_guard<std::mutex> lock(manifestMutex());
-    std::vector<SnapshotManifestEntry> entries;
-    Result<std::vector<SnapshotManifestEntry>> loaded =
-        loadSnapshotManifest(dir);
-    if (loaded.isOk()) {
-        entries = std::move(*loaded);
-    } else {
-        warn("checkpoint manifest in ", dir, " unreadable (",
-             loaded.status().toString(), "); rewriting it");
-    }
-
-    bool replaced = false;
-    for (SnapshotManifestEntry &e : entries) {
-        if (e.configHash == entry.configHash
-            && e.sceneHash == entry.sceneHash
-            && e.firstFrame == entry.firstFrame
-            && e.framesDone == entry.framesDone) {
-            e = entry;
-            replaced = true;
-            break;
-        }
-    }
-    if (!replaced)
-        entries.push_back(entry);
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema");
-    w.value(kManifestSchema);
-    w.key("snapshots");
-    w.beginArray();
-    for (const SnapshotManifestEntry &e : entries) {
-        w.beginObject();
-        w.key("config_hash");
-        w.value(hex16(e.configHash));
-        w.key("scene_hash");
-        w.value(hex16(e.sceneHash));
-        w.key("code_version");
-        w.value(std::uint64_t(e.codeVersion));
-        w.key("first_frame");
-        w.value(std::uint64_t(e.firstFrame));
-        w.key("frames_done");
-        w.value(std::uint64_t(e.framesDone));
-        w.key("file");
-        w.value(e.file);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return writeTextFile(manifestPath(dir), w.str());
-}
-
-const SnapshotManifestEntry *
-findSnapshotEntry(const std::vector<SnapshotManifestEntry> &entries,
-                  std::uint64_t config_hash, std::uint64_t scene_hash,
-                  std::uint32_t first_frame, std::uint32_t max_frames)
-{
-    const SnapshotManifestEntry *best = nullptr;
-    for (const SnapshotManifestEntry &e : entries) {
-        if (e.configHash != config_hash || e.sceneHash != scene_hash
-            || e.codeVersion != kSnapshotCodeVersion
-            || e.firstFrame != first_frame || e.framesDone > max_frames)
-            continue;
-        // Total order: freshest first (most frames done), ties broken
-        // by file path ascending. Manifest enumeration order is append
-        // order — a manifest rewritten after concurrent sweeps can list
-        // equal-framesDone entries either way round, and resume must
-        // pick the same snapshot every time.
-        if (!best || e.framesDone > best->framesDone
-            || (e.framesDone == best->framesDone && e.file < best->file))
-            best = &e;
-    }
-    return best;
 }
 
 } // namespace libra

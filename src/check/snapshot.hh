@@ -185,52 +185,33 @@ std::uint64_t snapshotSceneHash(const std::string &abbrev,
                                 std::uint32_t width,
                                 std::uint32_t height);
 
-/** Canonical checkpoint file name inside a --checkpoint-dir. */
-std::string snapshotFileName(std::uint64_t config_hash,
-                             std::uint64_t scene_hash,
-                             std::uint32_t frames_done);
+/**
+ * File name of a keyed snapshot-container file:
+ * `<stem>_<cfg>_<scene>_f<framesDone>@<firstFrame>_v<codeVersion><ext>`.
+ * The name is the whole key (the warm-prefix hash is not part of it),
+ * so a directory of these needs no index and a lookup is one open.
+ * Checkpoints (a run's key after framesDone frames) use stem `ckpt` and
+ * extension `.lsnp`; result-cache entries use `res` and `.lrc`
+ * (ResultCache::entryFileName).
+ */
+std::string keyedSnapshotFileName(const char *stem,
+                                  const SnapshotHeader &key,
+                                  const char *ext);
 
-/** Write/read a snapshot byte image; IoError on OS failure. */
+/**
+ * Publish @p bytes at @p path atomically: write a temp file named
+ * uniquely across processes (pid + sequence), then rename it over
+ * @p path. Concurrent writers of one path race harmlessly (last rename
+ * wins) and readers never see a half-written file. IoError on OS
+ * failure, with the temp file removed.
+ */
 Status writeSnapshotFile(const std::string &path,
                          const std::vector<std::uint8_t> &bytes);
+
+/** Read a snapshot byte image: NotFound when @p path does not exist,
+ *  IoError on any other OS failure. */
 Result<std::vector<std::uint8_t>>
 readSnapshotFile(const std::string &path);
-
-/** One row of a checkpoint directory's JSON manifest. */
-struct SnapshotManifestEntry
-{
-    std::uint64_t configHash = 0;
-    std::uint64_t sceneHash = 0;
-    std::uint32_t codeVersion = 0;
-    std::uint32_t firstFrame = 0;
-    std::uint32_t framesDone = 0;
-    std::string file; //!< file name relative to the checkpoint dir
-};
-
-/**
- * Load @p dir's manifest.json. A missing manifest is an empty list (a
- * fresh checkpoint dir); an unreadable or unparseable one is an error.
- */
-Result<std::vector<SnapshotManifestEntry>>
-loadSnapshotManifest(const std::string &dir);
-
-/**
- * Append/replace @p entry in @p dir's manifest.json. Guarded by a
- * process-local mutex so concurrent sweep workers don't tear the
- * read-modify-write; cross-process writers need distinct dirs.
- */
-Status recordSnapshotInManifest(const std::string &dir,
-                                const SnapshotManifestEntry &entry);
-
-/**
- * Best restore candidate: the entry matching (config hash, scene hash,
- * code version, first frame) with the largest framesDone <= @p
- * max_frames. nullptr when nothing usable exists.
- */
-const SnapshotManifestEntry *
-findSnapshotEntry(const std::vector<SnapshotManifestEntry> &entries,
-                  std::uint64_t config_hash, std::uint64_t scene_hash,
-                  std::uint32_t first_frame, std::uint32_t max_frames);
 
 } // namespace libra
 

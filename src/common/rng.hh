@@ -48,8 +48,8 @@ splitmix64(std::uint64_t &state)
  *    persistent key, which must chain from a mixed basis. test_rng
  *    locks all of this down.
  *  - **Stability**: changing this mixer silently invalidates every
- *    snapshot, manifest and cached report on disk. If it must change,
- *    bump kSnapshotCodeVersion and kResultCacheCodeVersion in the same
+ *    snapshot and cached report on disk. If it must change, bump
+ *    kSnapshotCodeVersion and kResultCacheCodeVersion in the same
  *    commit so stale entries are refused instead of mis-keyed.
  */
 constexpr std::uint64_t

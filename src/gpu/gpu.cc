@@ -233,15 +233,6 @@ Gpu::collectTotals() const
     return t;
 }
 
-double
-Gpu::textureHitRatio() const
-{
-    const RawTotals t = collectTotals();
-    const std::uint64_t total = t.texHits + t.texMisses;
-    return total == 0 ? 1.0
-                      : static_cast<double>(t.texHits) / total;
-}
-
 std::string
 Gpu::diagnosticState() const
 {

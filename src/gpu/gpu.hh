@@ -148,9 +148,6 @@ class Gpu
      */
     void setTraceSink(TraceSink *sink);
 
-    /** Texture-L1 aggregate hit ratio since construction. */
-    double textureHitRatio() const;
-
     /** True after a watchdog/deadlock error wedged this instance. */
     bool wedged() const { return isWedged; }
 

@@ -149,21 +149,37 @@ sceneHashOf(const Scene &scene, const GpuConfig &cfg)
                              cfg.screenHeight);
 }
 
-/** Complete `libra.snapshot/1` image of a run paused after
- *  @p frames_done frames: run-so-far + trace + machine sections. */
-std::vector<std::uint8_t>
-buildSnapshot(const Scene &scene, const GpuConfig &cfg,
-              const RunResult &result, const Gpu &gpu,
-              std::uint32_t first_frame, std::uint32_t frames_done)
+/** The header keying a run of @p cfg over @p scene from @p first_frame
+ *  after @p frames_done frames. */
+SnapshotHeader
+runKey(const Scene &scene, const GpuConfig &cfg,
+       std::uint32_t first_frame, std::uint32_t frames_done)
 {
-    SnapshotHeader header;
-    header.configHash = cfg.configHash();
-    header.warmPrefixHash = cfg.warmPrefixHash();
-    header.sceneHash = sceneHashOf(scene, cfg);
-    header.firstFrame = first_frame;
-    header.framesDone = frames_done;
+    SnapshotHeader key;
+    key.configHash = cfg.configHash();
+    key.warmPrefixHash = cfg.warmPrefixHash();
+    key.sceneHash = sceneHashOf(scene, cfg);
+    key.firstFrame = first_frame;
+    key.framesDone = frames_done;
+    return key;
+}
 
-    SnapshotWriter w(header);
+/** The checkpoint file of @p key inside the checkpoint dir @p dir. */
+std::string
+checkpointPath(const std::string &dir, const SnapshotHeader &key)
+{
+    return (std::filesystem::path(dir)
+            / keyedSnapshotFileName("ckpt", key, ".lsnp"))
+        .string();
+}
+
+/** Complete `libra.snapshot/1` image of a run paused at @p key:
+ *  run-so-far + trace + machine sections. */
+std::vector<std::uint8_t>
+buildSnapshot(const SnapshotHeader &key, const RunResult &result,
+              const Gpu &gpu)
+{
+    SnapshotWriter w(key);
     w.beginSection(SnapSection::Result);
     JsonWriter json;
     runResultToJson(json, result);
@@ -288,38 +304,35 @@ restoreFromSnapshot(std::vector<std::uint8_t> bytes, const Scene &scene,
     return h.framesDone;
 }
 
-/** Dir-based restore: pick the freshest usable manifest entry. A
- *  NotFound return means "nothing to restore" (silent cold start). */
+/**
+ * Dir-based restore: the freshest checkpoint of this run's key, tried
+ * by file name from @p frames frames done down to 1. The first file
+ * found decides (restore, or an error for the caller to warn about); a
+ * NotFound return means none exists (silent cold start).
+ */
 Result<std::uint32_t>
 restoreFromDir(const std::string &dir, const Scene &scene,
                const GpuConfig &cfg, std::uint32_t frames,
                std::uint32_t first_frame, RunResult &result,
                std::unique_ptr<Gpu> &gpu)
 {
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    if (!manifest.isOk())
-        return manifest.status();
-    const SnapshotManifestEntry *entry =
-        findSnapshotEntry(*manifest, cfg.configHash(),
-                          sceneHashOf(scene, cfg), first_frame, frames);
-    if (!entry) {
-        return Status::error(ErrorCode::NotFound,
-                             "no usable snapshot in ", dir);
+    for (SnapshotHeader key = runKey(scene, cfg, first_frame, frames);
+         key.framesDone > 0; --key.framesDone) {
+        Result<std::vector<std::uint8_t>> bytes =
+            readSnapshotFile(checkpointPath(dir, key));
+        if (bytes.isOk()) {
+            return restoreFromSnapshot(std::move(*bytes), scene, cfg,
+                                       frames, first_frame, result, gpu);
+        }
+        if (bytes.status().code() != ErrorCode::NotFound)
+            return bytes.status();
     }
-    const std::string path =
-        (std::filesystem::path(dir) / entry->file).string();
-    Result<std::vector<std::uint8_t>> bytes = readSnapshotFile(path);
-    if (!bytes.isOk())
-        return bytes.status();
-    return restoreFromSnapshot(std::move(*bytes), scene, cfg, frames,
-                               first_frame, result, gpu);
+    return Status::error(ErrorCode::NotFound, "no checkpoint in ", dir);
 }
 
 /** Frame-boundary checkpoint hook: capture the warm-prefix image
- *  and/or write a periodic snapshot file + manifest row. Write
- *  failures degrade to a warning — checkpointing must never change a
- *  run's outcome. */
+ *  and/or publish a periodic checkpoint file. Write failures degrade
+ *  to a warning — checkpointing must never change a run's outcome. */
 void
 maybeCheckpoint(const CheckpointPlan &plan, const Scene &scene,
                 const GpuConfig &cfg, const RunResult &result,
@@ -327,16 +340,18 @@ maybeCheckpoint(const CheckpointPlan &plan, const Scene &scene,
                 std::uint32_t frames_done, std::uint32_t frames_total)
 {
     if (plan.captureAfter && frames_done == plan.captureAfterFrames) {
-        *plan.captureAfter = buildSnapshot(scene, cfg, result, gpu,
-                                           first_frame, frames_done);
+        *plan.captureAfter = buildSnapshot(
+            runKey(scene, cfg, first_frame, frames_done), result, gpu);
     }
     if (plan.dir.empty() || plan.every == 0 || frames_done == 0
         || frames_done % plan.every != 0
         || frames_done >= frames_total) {
         return; // the final frame needs no checkpoint: the run is done
     }
+    const SnapshotHeader key =
+        runKey(scene, cfg, first_frame, frames_done);
     const std::vector<std::uint8_t> bytes =
-        buildSnapshot(scene, cfg, result, gpu, first_frame, frames_done);
+        buildSnapshot(key, result, gpu);
     // Plan setup already validated the directory once; re-creating it
     // here covers a mid-run deletion. The error contract is the same:
     // warn, skip the write, never change the run's outcome.
@@ -348,25 +363,10 @@ maybeCheckpoint(const CheckpointPlan &plan, const Scene &scene,
              first_frame + frames_done);
         return;
     }
-    const std::uint64_t scene_hash = sceneHashOf(scene, cfg);
-    const std::string name =
-        snapshotFileName(cfg.configHash(), scene_hash, frames_done);
-    const std::string path =
-        (std::filesystem::path(plan.dir) / name).string();
-    if (Status st = writeSnapshotFile(path, bytes); !st.isOk()) {
-        warn("checkpoint: ", st.toString());
-        return;
-    }
-    SnapshotManifestEntry entry;
-    entry.configHash = cfg.configHash();
-    entry.sceneHash = scene_hash;
-    entry.codeVersion = kSnapshotCodeVersion;
-    entry.firstFrame = first_frame;
-    entry.framesDone = frames_done;
-    entry.file = name;
-    if (Status st = recordSnapshotInManifest(plan.dir, entry);
+    if (Status st =
+            writeSnapshotFile(checkpointPath(plan.dir, key), bytes);
         !st.isOk()) {
-        warn("checkpoint manifest: ", st.toString());
+        warn("checkpoint: ", st.toString());
     }
 }
 

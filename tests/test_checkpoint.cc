@@ -7,12 +7,13 @@
  * Chrome traces identical to the uninterrupted run, and a restore under
  * an armed fault plan must be deterministic. On top sit the sweep-layer
  * behaviors: warm-prefix forking of threshold sweeps (fig19-style),
- * periodic checkpoint files + manifest rows, and the kill-mid-sweep →
- * restore round trip.
+ * periodic checkpoint files named by their key, and the kill-mid-sweep
+ * → restore round trip, also with two workers sharing one dir.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -54,6 +55,31 @@ scratchDir(const std::string &name)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir.string();
+}
+
+/** The file names in @p dir, sorted. */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** Checkpoint file name of a CCS run of @p cfg from @p first_frame
+ *  after @p frames_done frames. */
+std::string
+ckptName(const GpuConfig &cfg, std::uint32_t first_frame,
+         std::uint32_t frames_done)
+{
+    SnapshotHeader key;
+    key.configHash = cfg.configHash();
+    key.sceneHash = snapshotSceneHash("CCS", kWidth, kHeight);
+    key.firstFrame = first_frame;
+    key.framesDone = frames_done;
+    return keyedSnapshotFileName("ckpt", key, ".lsnp");
 }
 
 /** Render @p prefix frames and return the captured snapshot image. */
@@ -262,12 +288,10 @@ TEST(Checkpoint, KillMidRunResumesFromFreshestSnapshot)
         runBenchmark(scene, cfg, 3, 0, writing);
     ASSERT_TRUE(partial.isOk()) << partial.status().toString();
 
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(manifest.isOk());
     // Frames 1 and 2 are checkpointed; the final frame of a run never
     // is (the run is already done).
-    EXPECT_EQ(manifest->size(), 2u);
+    EXPECT_EQ(listDir(dir), (std::vector<std::string>{
+                                ckptName(cfg, 0, 1), ckptName(cfg, 0, 2)}));
 
     CheckpointPlan resume;
     resume.dir = dir;
@@ -292,12 +316,94 @@ TEST(Checkpoint, PeriodicWritesSkipFinalFrameAndRespectEvery)
     Result<RunResult> r = runBenchmark(scene, cfg, kFrames, 0, plan);
     ASSERT_TRUE(r.isOk()) << r.status().toString();
 
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(manifest.isOk());
     // 4 frames, every 2: only frame 2 qualifies (frame 4 is final).
-    ASSERT_EQ(manifest->size(), 1u);
-    EXPECT_EQ((*manifest)[0].framesDone, 2u);
-    EXPECT_EQ((*manifest)[0].configHash, cfg.configHash());
+    EXPECT_EQ(listDir(dir), std::vector<std::string>{ckptName(cfg, 0, 2)});
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, RunsFromOtherFirstFramesKeepTheirOwnFiles)
+{
+    // Regression: checkpoint names once left out the first frame, so
+    // a run from frame 4 overwrote the files of a run from frame 0,
+    // and resuming the latter warned and ran cold.
+    const GpuConfig cfg = smallConfig();
+    const Scene scene(findBenchmark("CCS"), kWidth, kHeight);
+    const std::string dir = scratchDir("first_frames");
+
+    CheckpointPlan writing;
+    writing.dir = dir;
+    writing.every = 1;
+    for (const std::uint32_t first : {0u, 4u}) {
+        Result<RunResult> r = runBenchmark(scene, cfg, 3, first, writing);
+        ASSERT_TRUE(r.isOk()) << r.status().toString();
+    }
+
+    Result<RunResult> cold = runBenchmark(scene, cfg, kFrames, 0);
+    ASSERT_TRUE(cold.isOk());
+    CheckpointPlan resume;
+    resume.dir = dir;
+    resume.restore = true;
+    testing::internal::CaptureStderr();
+    Result<RunResult> resumed =
+        runBenchmark(scene, cfg, kFrames, 0, resume);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
+    EXPECT_EQ(err.find("falling back to a cold run"), std::string::npos)
+        << err;
+    EXPECT_EQ(resumed->counters, cold->counters);
+    EXPECT_EQ(runReportJson(*resumed), runReportJson(*cold));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, TwoWorkersShareOneDirAndResumeByteIdentical)
+{
+    // Two workers checkpoint into one dir at once, one job listed twice
+    // so both race on the same files, then a 2-worker sweep resumes
+    // from that dir and must reproduce the cold sweep byte for byte.
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    GpuConfig scanline = smallConfig();
+    scanline.sched.policy = SchedulerPolicy::Scanline;
+    const std::vector<SweepJob> jobs{
+        SweepJob{&ccs, smallConfig(), kFrames, 0},
+        SweepJob{&ccs, smallConfig(), kFrames, 0},
+        SweepJob{&ccs, scanline, kFrames, 0}};
+    const std::string dir = scratchDir("two_workers");
+
+    SweepRunner pool(2);
+    SceneCache cache;
+    const SweepOutcome cold =
+        pool.runWithPolicy(jobs, SweepPolicy{}, &cache);
+    SweepPolicy writing;
+    writing.checkpoint.dir = dir;
+    writing.checkpoint.every = 1;
+    const SweepOutcome written = pool.runWithPolicy(jobs, writing, &cache);
+    for (const JobOutcome &o : written.jobs)
+        ASSERT_TRUE(o.result.isOk()) << o.result.status().toString();
+    // Frames 1-3 of each config, and no temp file left behind.
+    EXPECT_EQ(listDir(dir).size(), 6u);
+
+    // Every job restores (no torn file sends one back to a cold run).
+    SweepPolicy resuming;
+    resuming.checkpoint.dir = dir;
+    resuming.checkpoint.fromCheckpoint = true;
+    testing::internal::CaptureStderr();
+    const SweepOutcome resumed =
+        pool.runWithPolicy(jobs, resuming, &cache);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("falling back to a cold run"), std::string::npos)
+        << err;
+    ASSERT_EQ(cold.jobs.size(), resumed.jobs.size());
+    for (std::size_t i = 0; i < cold.jobs.size(); ++i) {
+        ASSERT_TRUE(cold.jobs[i].result.isOk())
+            << cold.jobs[i].result.status().toString();
+        ASSERT_TRUE(resumed.jobs[i].result.isOk())
+            << resumed.jobs[i].result.status().toString();
+        EXPECT_EQ(resumed.jobs[i].result->counters,
+                  cold.jobs[i].result->counters)
+            << "job " << i;
+        EXPECT_EQ(runReportJson(*resumed.jobs[i].result),
+                  runReportJson(*cold.jobs[i].result))
+            << "job " << i;
+    }
     std::filesystem::remove_all(dir);
 }

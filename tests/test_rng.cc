@@ -218,8 +218,8 @@ TEST(HashCombine, AvalancheOnSingleBitFlips)
 
 TEST(HashCombine, PinnedOutputs)
 {
-    // The mixer's exact output is load-bearing: every snapshot,
-    // manifest and cached report on disk is keyed through it. If this
+    // The mixer's exact output is load-bearing: every snapshot and
+    // cached report on disk is keyed through it. If this
     // test fails, you changed the mixer — bump kSnapshotCodeVersion
     // AND kResultCacheCodeVersion in the same commit (see rng.hh).
     EXPECT_EQ(hashCombine(0, 0), 0x6e789e6aa1b965f4ull);

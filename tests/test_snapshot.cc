@@ -8,8 +8,8 @@
  * crash or a silently-wrong restore), and the runner's fallback
  * contract: a run pointed at a corrupt, truncated or wrong-version
  * snapshot degrades to a cold run whose results are byte-identical to
- * never having checkpointed at all. Plus the manifest's selection
- * rules.
+ * never having checkpointed at all. Plus how a checkpoint dir picks
+ * the file a run restores from.
  */
 
 #include <gtest/gtest.h>
@@ -56,6 +56,32 @@ scratchDir(const std::string &name)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir.string();
+}
+
+/** A run of @p frames frames restoring from checkpoint dir @p dir,
+ *  with everything it printed to stderr. */
+struct DirRestore
+{
+    RunResult run;
+    std::string err;
+};
+
+DirRestore
+restoreFromDir(const std::string &dir, const Scene &scene,
+               const GpuConfig &cfg, std::uint32_t frames,
+               std::uint32_t first_frame = 0)
+{
+    CheckpointPlan plan;
+    plan.dir = dir;
+    plan.restore = true;
+    testing::internal::CaptureStderr();
+    Result<RunResult> r =
+        runBenchmark(scene, cfg, frames, first_frame, plan);
+    DirRestore out{RunResult{}, testing::internal::GetCapturedStderr()};
+    EXPECT_TRUE(r.isOk()) << r.status().toString();
+    if (r.isOk())
+        out.run = std::move(*r);
+    return out;
 }
 
 /** A real snapshot image: render two frames and capture. */
@@ -252,15 +278,13 @@ TEST(SnapshotContainer, CorruptDirSnapshotFallsBackToColdRun)
     Result<RunResult> seeded =
         runBenchmark(scene, cfg, kFrames, 0, writing);
     ASSERT_TRUE(seeded.isOk()) << seeded.status().toString();
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(manifest.isOk()) << manifest.status().toString();
-    ASSERT_FALSE(manifest->empty());
+    std::vector<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files.push_back(entry.path().string());
+    ASSERT_FALSE(files.empty());
 
     // Damage every snapshot file in place.
-    for (const SnapshotManifestEntry &e : *manifest) {
-        const std::string path =
-            (std::filesystem::path(dir) / e.file).string();
+    for (const std::string &path : files) {
         Result<std::vector<std::uint8_t>> bytes =
             readSnapshotFile(path);
         ASSERT_TRUE(bytes.isOk());
@@ -283,91 +307,61 @@ TEST(SnapshotContainer, CorruptDirSnapshotFallsBackToColdRun)
     std::filesystem::remove_all(dir);
 }
 
-TEST(SnapshotManifest, MissingDirIsEmptyAndEntriesSelect)
+TEST(CheckpointDir, MissingDirIsSilentAndFreshestMatchWins)
 {
-    Result<std::vector<SnapshotManifestEntry>> none =
-        loadSnapshotManifest("/nonexistent/libra/snapdir");
-    ASSERT_TRUE(none.isOk()) << none.status().toString();
-    EXPECT_TRUE(none->empty());
+    const GpuConfig cfg = smallConfig();
+    const Scene scene(findBenchmark("CCS"), kWidth, kHeight);
+    const auto cold = [&](const GpuConfig &c, std::uint32_t frames,
+                          std::uint32_t first_frame) {
+        return runBenchmark(scene, c, frames, first_frame)
+            .value()
+            .counters;
+    };
+    const char *fallback = "falling back to a cold run";
 
-    const std::string dir = scratchDir("manifest");
-    SnapshotManifestEntry e;
-    e.configHash = 7;
-    e.sceneHash = 9;
-    e.codeVersion = kSnapshotCodeVersion;
-    e.firstFrame = 0;
-    e.framesDone = 2;
-    e.file = snapshotFileName(7, 9, 2);
-    ASSERT_TRUE(recordSnapshotInManifest(dir, e).isOk());
-    e.framesDone = 3;
-    e.file = snapshotFileName(7, 9, 3);
-    ASSERT_TRUE(recordSnapshotInManifest(dir, e).isOk());
+    // A missing dir restores nothing and warns nothing.
+    const DirRestore none =
+        restoreFromDir("/nonexistent/libra/snapdir", scene, cfg, kFrames);
+    EXPECT_EQ(none.err, "");
+    EXPECT_EQ(none.run.counters, cold(cfg, kFrames, 0));
 
-    Result<std::vector<SnapshotManifestEntry>> loaded =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
-    ASSERT_EQ(loaded->size(), 2u);
+    // Checkpoints after frames 1, 2 and 3; damage 1 and 3 so the
+    // warning tells which file a restore picked.
+    const std::string dir = scratchDir("select");
+    CheckpointPlan writing;
+    writing.dir = dir;
+    writing.every = 1;
+    ASSERT_TRUE(runBenchmark(scene, cfg, kFrames, 0, writing).isOk());
+    SnapshotHeader key;
+    key.configHash = cfg.configHash();
+    key.sceneHash = snapshotSceneHash("CCS", kWidth, kHeight);
+    for (const std::uint32_t done : {1u, 3u}) {
+        key.framesDone = done;
+        const std::string path =
+            dir + "/" + keyedSnapshotFileName("ckpt", key, ".lsnp");
+        std::filesystem::resize_file(
+            path, std::filesystem::file_size(path) / 2);
+    }
 
-    // Freshest usable entry wins; a cap below it picks the older one;
-    // wrong keys find nothing.
-    const SnapshotManifestEntry *best =
-        findSnapshotEntry(*loaded, 7, 9, 0, 10);
-    ASSERT_NE(best, nullptr);
-    EXPECT_EQ(best->framesDone, 3u);
-    const SnapshotManifestEntry *capped =
-        findSnapshotEntry(*loaded, 7, 9, 0, 2);
-    ASSERT_NE(capped, nullptr);
-    EXPECT_EQ(capped->framesDone, 2u);
-    EXPECT_EQ(findSnapshotEntry(*loaded, 8, 9, 0, 10), nullptr);
-    EXPECT_EQ(findSnapshotEntry(*loaded, 7, 9, 1, 10), nullptr);
+    // The freshest snapshot at or below the frame count wins: frame 3
+    // for a 4-frame run, even though frame 2 is intact...
+    const DirRestore freshest = restoreFromDir(dir, scene, cfg, kFrames);
+    EXPECT_NE(freshest.err.find(fallback), std::string::npos);
+    EXPECT_EQ(freshest.run.counters, cold(cfg, kFrames, 0));
+    // ...and a lower cap picks the older frame 2 over damaged frame 1.
+    const DirRestore capped = restoreFromDir(dir, scene, cfg, 2);
+    EXPECT_EQ(capped.err, "");
+    EXPECT_EQ(capped.run.counters, cold(cfg, 2, 0));
+
+    // Another config or first frame never restores from these files.
+    GpuConfig other = cfg;
+    other.sched.policy = SchedulerPolicy::Scanline;
+    const DirRestore other_cfg = restoreFromDir(dir, scene, other, kFrames);
+    EXPECT_EQ(other_cfg.err, "");
+    EXPECT_EQ(other_cfg.run.counters, cold(other, kFrames, 0));
+    const DirRestore other_first =
+        restoreFromDir(dir, scene, cfg, kFrames, 1);
+    EXPECT_EQ(other_first.err, "");
+    EXPECT_EQ(other_first.run.counters, cold(cfg, kFrames, 1));
     std::filesystem::remove_all(dir);
-}
-
-TEST(SnapshotManifest, SceneHashIsStable)
-{
-    // The scene hash keys snapshots across processes; it must be a
-    // pure function of (benchmark, resolution).
-    const std::uint64_t a = snapshotSceneHash("CCS", 128, 64);
-    EXPECT_EQ(a, snapshotSceneHash("CCS", 128, 64));
-    EXPECT_NE(a, snapshotSceneHash("SuS", 128, 64));
-    EXPECT_NE(a, snapshotSceneHash("CCS", 256, 64));
-}
-
-TEST(SnapshotManifest, EqualFreshnessTieBreaksOnPathDeterministically)
-{
-    // Regression: two equally-fresh snapshots (same framesDone — e.g.
-    // written by concurrent sweeps into one directory) used to resolve
-    // by manifest enumeration order, so resume could restore different
-    // bytes depending on append order. The pinned total order is
-    // framesDone descending, then file path ascending.
-    SnapshotManifestEntry a;
-    a.configHash = 7;
-    a.sceneHash = 9;
-    a.codeVersion = kSnapshotCodeVersion;
-    a.firstFrame = 0;
-    a.framesDone = 2;
-    a.file = "snap_b.lsnp";
-    SnapshotManifestEntry b = a;
-    b.file = "snap_a.lsnp";
-
-    const std::vector<SnapshotManifestEntry> forward{a, b};
-    const std::vector<SnapshotManifestEntry> reversed{b, a};
-    const SnapshotManifestEntry *fwd =
-        findSnapshotEntry(forward, 7, 9, 0, 10);
-    const SnapshotManifestEntry *rev =
-        findSnapshotEntry(reversed, 7, 9, 0, 10);
-    ASSERT_NE(fwd, nullptr);
-    ASSERT_NE(rev, nullptr);
-    EXPECT_EQ(fwd->file, "snap_a.lsnp");
-    EXPECT_EQ(rev->file, "snap_a.lsnp");
-
-    // Freshness still dominates the path tie-break.
-    SnapshotManifestEntry fresher = a;
-    fresher.framesDone = 3;
-    fresher.file = "snap_z.lsnp";
-    const std::vector<SnapshotManifestEntry> mixed{a, fresher, b};
-    const SnapshotManifestEntry *best =
-        findSnapshotEntry(mixed, 7, 9, 0, 10);
-    ASSERT_NE(best, nullptr);
-    EXPECT_EQ(best->file, "snap_z.lsnp");
 }
