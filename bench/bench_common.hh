@@ -89,22 +89,11 @@ struct BenchOptions
     std::string outdir = "bench_out"; //!< image/trace artifacts
     std::string reportOut; //!< RunReport JSON path ("" = don't write)
     std::string traceOut;  //!< chrome-trace path ("" = don't record)
+    bool keepGoing = false; //!< failed jobs don't fail the bench
 
-    // Failure policy (forwarded into SweepPolicy by Sweep).
-    std::uint64_t deadlineMs = 0;  //!< per-attempt deadline; 0 = none
-    std::uint32_t retries = 0;     //!< transient-failure retries
-    std::uint64_t backoffMs = 100; //!< base retry delay
-    std::uint32_t quarantine = 0;  //!< strikes before fast-fail; 0 = off
-    std::string journal;           //!< crash-safe journal ("" = none)
-    bool resume = false;           //!< replay journaled successes
-    bool keepGoing = false;        //!< failed jobs don't fail the bench
-    std::string faults;            //!< FaultPlan spec ("" = none)
-
-    // Checkpointing (forwarded into SweepPolicy::checkpoint by Sweep).
-    std::string checkpointDir;       //!< snapshot dir ("" = off)
-    std::uint32_t checkpointEvery = 0; //!< frames between snapshots
-    bool fromCheckpoint = false;     //!< restore jobs from snapshots
-    std::uint32_t warmPrefix = 0;    //!< warm-prefix fork length; 0=off
+    /** Failure policy and checkpointing, parsed from their flags and
+     *  handed to Sweep whole. */
+    SweepPolicy sweepPolicy;
 };
 
 /** Reduced default subsets keeping the default runtime small. */
@@ -178,27 +167,33 @@ parseBenchOptions(int argc, char **argv,
     opt.reportOut = args.get("report-out", "");
     opt.traceOut = args.get("trace-out", "");
 
-    opt.deadlineMs = args.getUint("deadline-ms", 0);
-    opt.retries =
-        static_cast<std::uint32_t>(args.getUint("retries", 0));
-    opt.backoffMs = args.getUint("backoff-ms", opt.backoffMs);
-    opt.quarantine = static_cast<std::uint32_t>(
-        args.getUint("quarantine", 0));
-    opt.journal = args.get("journal", "");
-    opt.resume = args.getBool("resume");
     opt.keepGoing = args.getBool("keep-going");
-    opt.faults = args.get("faults", "");
-    if (opt.resume && opt.journal.empty())
-        fatal("--resume needs --journal FILE");
 
-    opt.checkpointDir = args.get("checkpoint-dir", "");
-    opt.checkpointEvery = static_cast<std::uint32_t>(
+    SweepPolicy &policy = opt.sweepPolicy;
+    policy.deadlineMs = args.getUint("deadline-ms", 0);
+    policy.maxRetries =
+        static_cast<std::uint32_t>(args.getUint("retries", 0));
+    policy.backoffMs = args.getUint("backoff-ms", 100);
+    policy.quarantineThreshold = static_cast<std::uint32_t>(
+        args.getUint("quarantine", 0));
+    policy.journalPath = args.get("journal", "");
+    policy.resume = args.getBool("resume");
+    if (policy.resume && policy.journalPath.empty())
+        fatal("--resume needs --journal FILE");
+    Result<FaultPlan> faults = FaultPlan::parse(args.get("faults", ""));
+    if (!faults.isOk())
+        fatal("--faults: ", faults.status().toString());
+    policy.faults = std::move(*faults);
+
+    CheckpointPolicy &checkpoint = policy.checkpoint;
+    checkpoint.dir = args.get("checkpoint-dir", "");
+    checkpoint.every = static_cast<std::uint32_t>(
         args.getUint("checkpoint-every", 0));
-    opt.fromCheckpoint = args.getBool("from-checkpoint");
-    opt.warmPrefix = static_cast<std::uint32_t>(
+    checkpoint.fromCheckpoint = args.getBool("from-checkpoint");
+    checkpoint.warmPrefixFrames = static_cast<std::uint32_t>(
         args.getUint("warm-prefix", 0));
-    if ((opt.checkpointEvery != 0 || opt.fromCheckpoint)
-        && opt.checkpointDir.empty()) {
+    if ((checkpoint.every != 0 || checkpoint.fromCheckpoint)
+        && checkpoint.dir.empty()) {
         fatal("--checkpoint-every / --from-checkpoint need "
               "--checkpoint-dir DIR");
     }
@@ -281,26 +276,10 @@ class Sweep
 {
   public:
     explicit Sweep(const BenchOptions &opt)
-        : runner(opt.jobs), reportOut(opt.reportOut),
-          traceOut(opt.traceOut), keepGoing(opt.keepGoing)
-    {
-        policy.deadlineMs = opt.deadlineMs;
-        policy.maxRetries = opt.retries;
-        policy.backoffMs = opt.backoffMs;
-        policy.quarantineThreshold = opt.quarantine;
-        policy.journalPath = opt.journal;
-        policy.resume = opt.resume;
-        if (!opt.faults.empty()) {
-            Result<FaultPlan> plan = FaultPlan::parse(opt.faults);
-            if (!plan.isOk())
-                fatal("--faults: ", plan.status().toString());
-            policy.faults = std::move(*plan);
-        }
-        policy.checkpoint.dir = opt.checkpointDir;
-        policy.checkpoint.every = opt.checkpointEvery;
-        policy.checkpoint.fromCheckpoint = opt.fromCheckpoint;
-        policy.checkpoint.warmPrefixFrames = opt.warmPrefix;
-    }
+        : runner(opt.jobs), policy(opt.sweepPolicy),
+          reportOut(opt.reportOut), traceOut(opt.traceOut),
+          keepGoing(opt.keepGoing)
+    {}
 
     /** Enqueue one run; returns its result handle. */
     std::size_t

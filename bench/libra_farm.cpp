@@ -14,8 +14,7 @@
  * Client (default mode):
  *   libra_farm --socket farm.sock --benchmark CCS                  \
  *              [--width W --height H --frames N --first-frame F]   \
- *              [--config SPEC] [--figure TAG]                      \
- *              [--id TAG] [--out report.json]                      \
+ *              [--config SPEC] [--id TAG] [--out report.json]      \
  *              [--op simulate|ping|stats|shutdown]                 \
  *              [--expect-cache hit|miss|coalesced]
  *
@@ -84,7 +83,7 @@ main(int argc, char **argv)
         "retries", "backoff-ms", "quarantine",
         // client mode
         "op", "benchmark", "width", "height", "frames", "first-frame",
-        "config", "figure", "id", "out", "expect-cache"};
+        "config", "id", "out", "expect-cache"};
     const CliArgs args(argc, argv, known);
 
     if (args.getBool("serve"))
@@ -110,7 +109,6 @@ main(int argc, char **argv)
         req.firstFrame = static_cast<std::uint32_t>(
             args.getUint("first-frame", req.firstFrame));
         req.config = args.get("config", "libra:2x4");
-        req.figure = args.get("figure", "");
     }
 
     Result<FarmClient> client =

@@ -16,7 +16,6 @@ faultKindName(FaultKind kind)
       case FaultKind::DropCacheFill: return "dropfill";
       case FaultKind::DramStall: return "dramstall";
       case FaultKind::TransientFail: return "transient";
-      case FaultKind::CorruptTrace: return "corrupt";
       case FaultKind::KillPoint: return "kill";
     }
     return "unknown";
@@ -76,8 +75,8 @@ applyParam(FaultSpec &spec, std::string_view key, std::uint64_t value)
         spec.job = value;
     else if (key == "count")
         spec.count = value;
-    else if (key == "offset" || key == "append")
-        spec.offset = value;
+    else if (key == "append")
+        spec.append = value;
     else {
         return Status::error(ErrorCode::InvalidArgument,
                              "fault plan: unknown parameter '",
@@ -111,11 +110,8 @@ FaultPlan::toString() const
           case FaultKind::TransientFail:
             os << "@job=" << f.job << ",count=" << f.count;
             break;
-          case FaultKind::CorruptTrace:
-            os << ':' << f.target << "@offset=" << f.offset;
-            break;
           case FaultKind::KillPoint:
-            os << "@append=" << f.offset;
+            os << "@append=" << f.append;
             break;
         }
     }
@@ -156,8 +152,6 @@ FaultPlan::parse(const std::string &spec)
             fault.kind = FaultKind::DramStall;
         else if (keyword == "transient")
             fault.kind = FaultKind::TransientFail;
-        else if (keyword == "corrupt")
-            fault.kind = FaultKind::CorruptTrace;
         else if (keyword == "kill")
             fault.kind = FaultKind::KillPoint;
         else {
@@ -333,7 +327,7 @@ FaultInjector::killAtAppend() const
 {
     for (const FaultSpec &f : thePlan.faults) {
         if (f.kind == FaultKind::KillPoint)
-            return f.offset;
+            return f.append;
     }
     return 0;
 }

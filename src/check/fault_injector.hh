@@ -5,10 +5,10 @@
  * A FaultPlan is a declarative list of faults to inject into a sweep —
  * watchdog trips at chosen frames, dropped cache fills (generalizing
  * Cache::testDropHitAccounting), DRAM request stalls, transient
- * job-level Status failures, trace-file corruption, and simulated
- * process kills in the journal path. Plans parse from / print to a
- * compact one-line spec so CI jobs and the chaos-soak test can name a
- * fault scenario by string + seed and reproduce it exactly:
+ * job-level Status failures and simulated process kills in the journal
+ * path. Plans parse from / print to a compact one-line spec so CI jobs
+ * and the chaos-soak test can name a fault scenario by string + seed
+ * and reproduce it exactly:
  *
  *   seed=42;watchdog@frame=1;dropfill:l2@every=64;
  *   dramstall@every=128,ticks=500;transient@job=3,count=2;kill@append=5
@@ -46,7 +46,6 @@ enum class FaultKind
     DropCacheFill, //!< discard every Nth returning fill in a cache
     DramStall,     //!< add latency to every Nth DRAM command
     TransientFail, //!< fail a sweep-job attempt with Unavailable
-    CorruptTrace,  //!< damage .ltrc bytes (corpus generation)
     KillPoint,     //!< die mid-append in the journal path
 };
 
@@ -65,7 +64,7 @@ struct FaultSpec
     std::uint64_t ticks = 0; //!< DramStall: extra latency per hit
     std::uint64_t job = 0;   //!< TransientFail: sweep job index
     std::uint64_t count = 1; //!< TransientFail: attempts to fail
-    std::uint64_t offset = 0; //!< CorruptTrace byte / KillPoint append#
+    std::uint64_t append = 0; //!< KillPoint: die during this append
 };
 
 /** A seed plus the list of faults to inject. */
@@ -90,9 +89,9 @@ struct FaultPlan
 /**
  * Seeded random plan generator for the chaos soak: a reproducible mix
  * of watchdog trips, dropped fills, DRAM stalls and transient job
- * failures over a sweep of @p num_jobs jobs. Never emits KillPoint or
- * CorruptTrace — those need a cooperating harness; the soak's
- * kill-and-resume round-trip arms them separately.
+ * failures over a sweep of @p num_jobs jobs. Never emits KillPoint —
+ * that needs a cooperating harness; the soak's kill-and-resume round
+ * trip arms it separately.
  */
 FaultPlan fuzzFaultPlan(std::uint64_t seed, std::uint64_t num_jobs);
 

@@ -49,12 +49,14 @@ constexpr std::uint32_t kSnapshotFormatVersion = 1;
  * payload changes (new field, reordered member, changed invariant), so
  * snapshots written by older code are refused instead of misread.
  */
-constexpr std::uint32_t kSnapshotCodeVersion = 3;
+constexpr std::uint32_t kSnapshotCodeVersion = 4;
 // v2: Scheduler section holds policy-object state (only LIBRA's
 //     adaptive controller writes anything; stateless policies write
 //     nothing) and GpuCore carries the Rendering Elimination input-
 //     signature table.
 // v3: configHash() no longer mixes the removed sharded-engine flag.
+// v4: Result-section frames carry Rendering Elimination's per-frame
+//     skip set (re_tiles_skipped, re_skipped_tiles).
 
 /** Fixed header keying a snapshot to the run that may restore it. */
 struct SnapshotHeader

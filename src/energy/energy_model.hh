@@ -55,6 +55,8 @@ struct EnergyBreakdown
     double fixedFunctionMj = 0.0;
     double staticMj = 0.0;
     double totalMj = 0.0;
+
+    bool operator==(const EnergyBreakdown &) const = default;
 };
 
 /** Fold events into a breakdown under @p params. */

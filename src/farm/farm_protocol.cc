@@ -106,7 +106,6 @@ farmCacheStateName(FarmCacheState state)
       case FarmCacheState::Hit: return "hit";
       case FarmCacheState::Miss: return "miss";
       case FarmCacheState::Coalesced: return "coalesced";
-      case FarmCacheState::Recovered: return "recovered";
     }
     return "?";
 }
@@ -135,10 +134,6 @@ farmRequestLine(const FarmRequest &req)
         w.value(req.firstFrame);
         w.key("config");
         w.value(req.config);
-        if (!req.figure.empty()) {
-            w.key("figure");
-            w.value(req.figure);
-        }
     }
     w.endObject();
     return w.str();
@@ -215,10 +210,6 @@ parseFarmRequest(const std::string &line)
     if (!config.isOk())
         return config.status();
     req.config = *config;
-    if (const JsonValue *fig = doc->find("figure");
-        fig && fig->isString()) {
-        req.figure = fig->str;
-    }
     return req;
 }
 
@@ -286,7 +277,7 @@ parseFarmResponse(const std::string &line)
         cache && cache->isString()) {
         for (const FarmCacheState s :
              {FarmCacheState::Hit, FarmCacheState::Miss,
-              FarmCacheState::Coalesced, FarmCacheState::Recovered}) {
+              FarmCacheState::Coalesced}) {
             if (cache->str == farmCacheStateName(s))
                 resp.cache = s;
         }

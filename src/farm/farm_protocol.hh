@@ -70,7 +70,6 @@ struct FarmRequest
     std::uint32_t frames = 4;
     std::uint32_t firstFrame = 0;
     std::string config; //!< config spec (parseConfigSpec grammar)
-    std::string figure;               //!< free-form figure tag, echoed
 };
 
 /** How a simulate reply was produced. */
@@ -80,7 +79,6 @@ enum class FarmCacheState
     Hit,       //!< served from the persistent result cache
     Miss,      //!< simulated by this request
     Coalesced, //!< attached to an identical in-flight request
-    Recovered, //!< journal replay completed it before serving
 };
 
 const char *farmCacheStateName(FarmCacheState state);

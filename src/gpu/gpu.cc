@@ -465,7 +465,7 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
 
     // --- Raster phase ----------------------------------------------------
     rasterStartTick = queue.now();
-    dramSampler.reset(rasterStartTick, config.dramTimelineInterval);
+    dramSampler.reset(rasterStartTick, kDramTimelineInterval);
     rasterActive = true;
     if (gpuLane)
         gpuLane->begin(nameRaster, rasterStartTick, 0);

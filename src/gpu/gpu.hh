@@ -69,7 +69,7 @@ struct FrameStats
 
     /** DRAM requests per interval of the raster phase (Fig. 7). */
     std::vector<std::uint32_t> dramTimeline;
-    std::uint32_t dramTimelineInterval = 5000;
+    std::uint32_t dramTimelineInterval = kDramTimelineInterval;
 
     /** Per-RU cycle attribution for this frame, indexed by RuPhase.
      *  The six phases of each unit sum exactly to totalCycles. */
@@ -94,6 +94,8 @@ struct FrameStats
 
     /** Final per-pixel hash image (only with captureImage). */
     std::vector<std::uint64_t> image;
+
+    bool operator==(const FrameStats &) const = default;
 };
 
 class Gpu

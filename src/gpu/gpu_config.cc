@@ -188,8 +188,8 @@ GpuConfig::configHash() const
     // image present or not), so results keyed by this hash must include
     // it even though it never changes a counter. The remaining runtime
     // attachments (watchdog, cancel, faults, traceEvents,
-    // checkInvariants, dramTimelineInterval) never change what a
-    // successful run returns and are deliberately excluded.
+    // checkInvariants) never change what a successful run returns and
+    // are deliberately excluded.
     h.mix(captureImage);
     return h.value();
 }
@@ -319,12 +319,6 @@ GpuConfig::validate() const
         return Status::error(ErrorCode::InvalidArgument,
                              "framebuffer compression ratio ",
                              fbCompressionRatio, " must be in (0, 1]");
-    }
-
-    // --- Instrumentation -------------------------------------------------
-    if (dramTimelineInterval == 0) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "dramTimelineInterval must be > 0");
     }
     return Status::ok();
 }

@@ -26,6 +26,9 @@ namespace libra
 
 class FaultInjector;
 
+/** Ticks per DRAM-bandwidth timeline bucket (Fig. 7 sampling). */
+constexpr std::uint32_t kDramTimelineInterval = 5000;
+
 /** Complete GPU configuration. */
 struct GpuConfig
 {
@@ -89,9 +92,6 @@ struct GpuConfig
     // --- Instrumentation -------------------------------------------------
     bool captureImage = false; //!< keep a per-pixel hash "image"
     bool traceEvents = false;  //!< record a chrome-trace event timeline
-
-    /** Ticks per DRAM-bandwidth timeline bucket (Fig. 7 sampling). */
-    std::uint32_t dramTimelineInterval = 5000;
 
     // --- Robustness ------------------------------------------------------
     /** Per-frame watchdog limits (both triggers off by default). */

@@ -481,14 +481,6 @@ runBenchmark(const Scene &scene, const GpuConfig &cfg,
 }
 
 Result<RunResult>
-runBenchmark(const Scene &scene, const GpuConfig &cfg,
-             std::uint32_t frames, std::uint32_t first_frame)
-{
-    return runBenchmark(scene, cfg, frames, first_frame,
-                        CheckpointPlan{});
-}
-
-Result<RunResult>
 runBenchmark(const BenchmarkSpec &spec, const GpuConfig &cfg,
              std::uint32_t frames, std::uint32_t first_frame)
 {

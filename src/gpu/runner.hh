@@ -126,20 +126,17 @@ Result<RunResult> runBenchmark(const BenchmarkSpec &spec,
                                std::uint32_t first_frame = 0);
 
 /**
- * Same, over an already-built scene. @p scene must match the
- * configuration's screen size; it is only read, so several runs (e.g.
- * the configs of one sweep, possibly on different threads) can share
- * one Scene instead of regenerating geometry and textures per config.
+ * Same, over an already-built scene, under a checkpoint plan (snapshot
+ * writing and/or restore; the default plan is a plain cold run).
+ * @p scene must match the configuration's screen size; it is only
+ * read, so several runs (e.g. the configs of one sweep, possibly on
+ * different threads) can share one Scene instead of regenerating
+ * geometry and textures per config.
  */
 Result<RunResult> runBenchmark(const Scene &scene, const GpuConfig &cfg,
                                std::uint32_t frames,
-                               std::uint32_t first_frame = 0);
-
-/** Same, under a checkpoint plan (snapshot writing and/or restore). */
-Result<RunResult> runBenchmark(const Scene &scene, const GpuConfig &cfg,
-                               std::uint32_t frames,
-                               std::uint32_t first_frame,
-                               const CheckpointPlan &checkpoint);
+                               std::uint32_t first_frame = 0,
+                               const CheckpointPlan &checkpoint = {});
 
 /**
  * Fraction of execution time attributable to memory: 1 - ideal/real,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <exception>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -42,7 +40,7 @@ namespace
 
 /** Run one job start-to-finish; never throws. */
 Result<RunResult>
-runJob(const SweepJob &job, SceneCache *cache,
+runJob(const SweepJob &job, SceneCache &scenes,
        const CheckpointPlan &checkpoint)
 {
     try {
@@ -50,28 +48,18 @@ runJob(const SweepJob &job, SceneCache *cache,
             return Status::error(ErrorCode::InvalidArgument,
                                  "sweep job without a benchmark spec");
         }
-        if (cache) {
-            const std::shared_ptr<const Scene> scene = cache->get(
-                *job.spec, job.config.screenWidth,
-                job.config.screenHeight);
-            return runBenchmark(*scene, job.config, job.frames,
-                                job.firstFrame, checkpoint);
-        }
-        if (!checkpoint.enabled()) {
-            return runBenchmark(*job.spec, job.config, job.frames,
-                                job.firstFrame);
-        }
-        // Validate before the (possibly expensive) scene build, like
-        // the spec-level runBenchmark overload does.
+        // Validate before the scene is fetched: a scene cannot be built
+        // for a configuration that fails validation (a zero-size
+        // screen, say).
         if (Status st = job.config.validate(); !st.isOk()) {
             return Status::error(st.code(), "benchmark ",
                                  job.spec->abbrev,
                                  ": invalid GPU configuration: ",
                                  st.message());
         }
-        const Scene scene(*job.spec, job.config.screenWidth,
-                          job.config.screenHeight);
-        return runBenchmark(scene, job.config, job.frames,
+        const std::shared_ptr<const Scene> scene = scenes.get(
+            *job.spec, job.config.screenWidth, job.config.screenHeight);
+        return runBenchmark(*scene, job.config, job.frames,
                             job.firstFrame, checkpoint);
     } catch (const std::exception &e) {
         // Isolation: a throwing job loses its own data point only.
@@ -80,45 +68,6 @@ runJob(const SweepJob &job, SceneCache *cache,
                              ": uncaught exception: ", e.what());
     }
 }
-
-/** Per-worker job queue. Stealing keeps the pool busy when job
- *  runtimes are skewed (one heavy config, many light ones). */
-struct WorkerQueue
-{
-    std::mutex mtx;
-    std::deque<std::size_t> jobs; //!< indices into the job vector
-
-    void
-    push(std::size_t index)
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        jobs.push_back(index);
-    }
-
-    /** The owner pops newest-first (better cache reuse of the scene it
-     *  just touched); thieves steal oldest-first. */
-    std::optional<std::size_t>
-    pop()
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        if (jobs.empty())
-            return std::nullopt;
-        const std::size_t index = jobs.back();
-        jobs.pop_back();
-        return index;
-    }
-
-    std::optional<std::size_t>
-    steal()
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        if (jobs.empty())
-            return std::nullopt;
-        const std::size_t index = jobs.front();
-        jobs.pop_front();
-        return index;
-    }
-};
 
 } // namespace
 
@@ -187,7 +136,7 @@ struct PolicyRun
 
     const std::vector<SweepJob> *jobs = nullptr;
     const SweepPolicy *policy = nullptr;
-    SceneCache *cache = nullptr;
+    SceneCache *scenes = nullptr;
     std::vector<std::string> keys;       //!< sweepJobKey per job
     std::vector<std::uint64_t> hashes;   //!< configHash per job
     std::vector<JobOutcome> *outcomes = nullptr;
@@ -277,7 +226,7 @@ runPolicyJob(PolicyRun &run, std::size_t index)
             capture.captureAfter =
                 std::make_shared<std::vector<std::uint8_t>>();
             capture.captureAfterFrames = prefix.frames;
-            Result<RunResult> r = runJob(prefix, run.cache, capture);
+            Result<RunResult> r = runJob(prefix, *run.scenes, capture);
             if (r.isOk() && !capture.captureAfter->empty()) {
                 group->bytes = capture.captureAfter;
             } else {
@@ -316,7 +265,7 @@ runPolicyJob(PolicyRun &run, std::size_t index)
                                      "injected transient failure "
                                      "(attempt ", attempt, ")");
             }
-            return runJob(job, run.cache, checkpoint);
+            return runJob(job, *run.scenes, checkpoint);
         }();
 
         if (r.isOk()) {
@@ -362,10 +311,11 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
     if (jobs.empty())
         return out;
 
+    SceneCache own_scenes;
     PolicyRun run(policy.quarantineThreshold);
     run.jobs = &jobs;
     run.policy = &policy;
-    run.cache = cache;
+    run.scenes = cache ? cache : &own_scenes;
     run.outcomes = &out.jobs;
     run.keys.reserve(jobs.size());
     run.hashes.reserve(jobs.size());
@@ -479,36 +429,24 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
             chains.push_back({index});
     }
 
-    const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-        workerCount, chains.empty() ? 1 : chains.size()));
-    if (workers <= 1) {
-        for (const std::vector<std::size_t> &chain : chains)
-            for (std::size_t index : chain)
+    // --- Workers: every chain comes off one shared cursor -------------
+    // Each result lands in its job's slot, so no output depends on which
+    // worker ran what. The calling thread is one of the workers, so a
+    // one-worker sweep starts no thread.
+    std::atomic<std::size_t> cursor{0};
+    const auto work = [&] {
+        for (std::size_t c = cursor++; c < chains.size(); c = cursor++)
+            for (std::size_t index : chains[c])
                 runPolicyJob(run, index);
-    } else {
-        std::vector<WorkerQueue> queues(workers);
-        for (std::size_t c = 0; c < chains.size(); ++c)
-            queues[c % workers].push(c);
-
-        auto work = [&](unsigned self) {
-            while (true) {
-                std::optional<std::size_t> chain = queues[self].pop();
-                for (unsigned k = 1; !chain && k < workers; ++k)
-                    chain = queues[(self + k) % workers].steal();
-                if (!chain)
-                    return;
-                for (std::size_t index : chains[*chain])
-                    runPolicyJob(run, index);
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(work, w);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    };
+    {
+        const std::size_t workers =
+            std::min<std::size_t>(workerCount, chains.size());
+        std::vector<std::jthread> helpers;
+        for (std::size_t w = 1; w < workers; ++w)
+            helpers.emplace_back(work);
+        work();
+    } // the helpers join here
 
     out.killed = run.killFlag.load(std::memory_order_relaxed);
     out.warmPrefixForks =

@@ -1,8 +1,9 @@
 /**
  * @file
  * Parallel sweep engine: run many (benchmark, config) simulations
- * concurrently on one work-stealing thread pool, under a failure
- * policy (SweepPolicy, DESIGN.md §7 "Failure model").
+ * concurrently on a pool of workers that take jobs off one shared
+ * cursor, under a failure policy (SweepPolicy, DESIGN.md §7 "Failure
+ * model").
  *
  * Simulations are embarrassingly parallel — each owns its Gpu, its
  * EventQueue and all mutable state — so a sweep of N configurations
@@ -236,11 +237,13 @@ struct SweepOutcome
 };
 
 /**
- * Work-stealing pool of sweep workers.
+ * Pool of sweep workers.
  *
- * Jobs are dealt round-robin onto per-worker deques; a worker pops from
- * its own deque and steals from its neighbours when empty, so a handful
- * of long simulations cannot strand the remaining workers idle.
+ * The job list is fixed before any worker starts, so workers take the
+ * next job (or quarantine chain) off one shared atomic cursor: a worker
+ * that finishes early simply takes more, and a handful of long
+ * simulations cannot strand the others idle. The calling thread is one
+ * of the workers; a one-worker sweep starts no thread.
  */
 class SweepRunner
 {
@@ -253,9 +256,11 @@ class SweepRunner
      * submission order: per-attempt wall-clock deadlines, bounded
      * exponential-backoff retries for transient failures, quarantine
      * of repeatedly-failing configs, a crash-safe result journal with
-     * resume, and fault injection. With @p cache non-null, scenes are
-     * built through it (and shared with any other sweep using the same
-     * cache); otherwise each job builds its own. Failure Status
+     * resume, and fault injection. Every job's config is validated
+     * before its scene is fetched, so an invalid config fails that job
+     * alone. With @p cache non-null, scenes are built through it (and
+     * shared with any other sweep using the same cache); otherwise the
+     * sweep uses a cache of its own. Failure Status
      * messages are prefixed "job <index> [<key>]: " (the key carries
      * benchmark, resolution, frame range and config hash) so farm logs
      * are attributable. A sweep with failures still completes — policy

@@ -138,6 +138,16 @@ frameToJson(JsonWriter &w, const FrameStats &fs)
     w.key("temperature_order"); w.value(fs.temperatureOrder);
     w.key("supertile_size"); w.value(std::uint64_t(fs.supertileSize));
     w.key("ranking_cycles"); w.value(fs.rankingCycles);
+    if (!fs.reSkippedTiles.empty()) {
+        // Rendering Elimination runs only, so every other run's line
+        // keeps its bytes.
+        w.key("re_tiles_skipped"); w.value(fs.reTilesSkipped);
+        w.key("re_skipped_tiles");
+        w.beginArray();
+        for (std::uint8_t skipped : fs.reSkippedTiles)
+            w.value(std::uint64_t(skipped));
+        w.endArray();
+    }
     if (!fs.image.empty()) {
         // Pixel hashes use all 64 bits; hex strings round-trip exactly
         // where JSON numbers (doubles in the parser) could not.
@@ -242,6 +252,17 @@ frameFromJson(const JsonValue &v)
     fs.temperatureOrder = temp->boolean;
     JOURNAL_GET_U32(v, "supertile_size", fs.supertileSize);
     JOURNAL_GET_U64(v, "ranking_cycles", fs.rankingCycles);
+
+    if (const JsonValue *skipped = v.find("re_skipped_tiles")) {
+        JOURNAL_GET_U64(v, "re_tiles_skipped", fs.reTilesSkipped);
+        Result<std::vector<std::uint64_t>> tiles =
+            u64ArrayFrom(skipped, "re_skipped_tiles");
+        if (!tiles.isOk())
+            return tiles.status();
+        fs.reSkippedTiles.reserve(tiles->size());
+        for (std::uint64_t t : *tiles)
+            fs.reSkippedTiles.push_back(static_cast<std::uint8_t>(t));
+    }
 
     if (const JsonValue *image = v.find("image")) {
         if (!image->isArray()) {

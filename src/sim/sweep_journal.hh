@@ -21,6 +21,12 @@
  *   {"schema":"libra.sweep_journal/1","key":"...","ok":false,
  *    "attempts":3,"code":"unavailable","message":"..."}
  *
+ * A frame carries every FrameStats field. Two keys appear only on
+ * Rendering Elimination runs (a non-empty skip set):
+ * "re_tiles_skipped" (count) and "re_skipped_tiles" (one 0/1 entry
+ * per tile); a frame without them decodes with no skip set. The same
+ * codec writes the Result section of a snapshot (check/snapshot.hh).
+ *
  * Crash tolerance and the simulated kill(9) are the Journal's: a torn
  * trailing line is discarded and the job treated as never-finished.
  * Not journaled: the GpuConfig (the resumed sweep re-specifies

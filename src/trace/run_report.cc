@@ -37,7 +37,7 @@ writeConfig(JsonWriter &w, const RunResult &result)
     w.key("trace_events");
     w.value(cfg.traceEvents);
     w.key("dram_timeline_interval");
-    w.value(cfg.dramTimelineInterval);
+    w.value(kDramTimelineInterval);
     w.key("frames");
     w.value(static_cast<std::uint64_t>(result.frames.size()));
     w.endObject();

@@ -74,7 +74,6 @@ TEST(FarmProtocol, RequestRoundTripsAllFields)
     req.frames = 8;
     req.firstFrame = 3;
     req.config = "supertile:4:2x4";
-    req.figure = "fig9";
 
     Result<FarmRequest> back = parseFarmRequest(farmRequestLine(req));
     ASSERT_TRUE(back.isOk()) << back.status().toString();
@@ -86,7 +85,6 @@ TEST(FarmProtocol, RequestRoundTripsAllFields)
     EXPECT_EQ(back->frames, req.frames);
     EXPECT_EQ(back->firstFrame, req.firstFrame);
     EXPECT_EQ(back->config, req.config);
-    EXPECT_EQ(back->figure, req.figure);
 }
 
 TEST(FarmProtocol, NonSimulateOpsRoundTrip)

@@ -26,11 +26,11 @@ TEST(FaultPlan, SpecRoundTripsThroughParseAndToString)
     const std::string spec =
         "seed=42;watchdog@frame=1;dropfill:l2@every=64;"
         "dramstall@every=128,ticks=500;transient@job=3,count=2;"
-        "corrupt:truncate@offset=7;kill@append=5";
+        "kill@append=5";
     const Result<FaultPlan> plan = FaultPlan::parse(spec);
     ASSERT_TRUE(plan.isOk()) << plan.status().toString();
     EXPECT_EQ(plan->seed, 42u);
-    ASSERT_EQ(plan->faults.size(), 6u);
+    ASSERT_EQ(plan->faults.size(), 5u);
     EXPECT_EQ(plan->toString(), spec);
 
     // And the rendering reparses to the same plan (full round trip).
@@ -43,7 +43,9 @@ TEST(FaultPlan, MalformedSpecsAreInvalidArgument)
 {
     for (const char *bad : {
              "nonsense",                //!< unknown keyword
+             "corrupt:truncate@offset=7", //!< not a fault kind
              "watchdog@frames=1",       //!< unknown parameter
+             "kill@offset=5",           //!< unknown parameter
              "dropfill@every=64",       //!< dropfill without a target
              "dropfill:l2",             //!< dropfill without a period
              "dramstall@ticks=10",      //!< dramstall without a period
@@ -70,12 +72,10 @@ TEST(FaultPlan, FuzzerIsDeterministicAndSoakSafe)
         ASSERT_TRUE(reparsed.isOk())
             << "seed " << seed << ": " << a.toString();
         EXPECT_EQ(reparsed->toString(), a.toString());
-        // Kill points and trace corruption need a cooperating harness;
-        // the soak arms them separately.
+        // Kill points need a cooperating harness; the soak arms them
+        // separately.
         for (const FaultSpec &f : a.faults) {
             EXPECT_NE(f.kind, FaultKind::KillPoint) << "seed " << seed;
-            EXPECT_NE(f.kind, FaultKind::CorruptTrace)
-                << "seed " << seed;
             if (f.kind == FaultKind::TransientFail) {
                 EXPECT_LT(f.job, 8u) << "seed " << seed;
             }

@@ -101,15 +101,13 @@ TEST(PhaseAttribution, CountersExposedThroughStatGroup)
 
 TEST(DramTimeline, SamplerMatchesFrameTotals)
 {
-    GpuConfig cfg = sized(GpuConfig::ptr(2, 4));
-    cfg.dramTimelineInterval = 2000;
-    const RunResult r = run(cfg, 2);
+    const RunResult r = run(sized(GpuConfig::ptr(2, 4)), 2);
     for (const FrameStats &fs : r.frames) {
-        EXPECT_EQ(fs.dramTimelineInterval, 2000u);
+        EXPECT_EQ(fs.dramTimelineInterval, kDramTimelineInterval);
         ASSERT_FALSE(fs.dramTimeline.empty());
         // Every sampled request happened inside the raster phase, so
         // the bucket count cannot exceed the phase's duration.
-        EXPECT_LE((fs.dramTimeline.size() - 1) * 2000u,
+        EXPECT_LE((fs.dramTimeline.size() - 1) * kDramTimelineInterval,
                   fs.rasterCycles);
         const std::uint64_t sampled = std::accumulate(
             fs.dramTimeline.begin(), fs.dramTimeline.end(),

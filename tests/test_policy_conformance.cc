@@ -22,12 +22,15 @@
  * The file also pins the scheduler-phase attribution contract
  * (rankingCycles belongs to the policy layer: a policy that ranks
  * nothing reports zero, every frame) and the observable Rendering
- * Elimination behavior the EXPERIMENTS.md ablation relies on.
+ * Elimination behavior the EXPERIMENTS.md ablation relies on, down to
+ * each frame's skip set surviving a journal replay, a checkpoint
+ * restore and a warm-prefix fork.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,6 +39,7 @@
 #include "gpu/gpu_config.hh"
 #include "gpu/policy_registry.hh"
 #include "gpu/runner.hh"
+#include "sim/sweep.hh"
 #include "workload/benchmarks.hh"
 #include "workload/scene.hh"
 
@@ -79,17 +83,6 @@ run(const GpuConfig &cfg, std::uint32_t frames = kFrames)
     return r.isOk() ? std::move(*r) : RunResult{};
 }
 
-/** Frame-level fingerprint: cycle counts catch timing divergence that
- *  cumulative counters could mask by coincidence. */
-std::vector<std::uint64_t>
-frameCycles(const RunResult &r)
-{
-    std::vector<std::uint64_t> cycles;
-    for (const FrameStats &fs : r.frames)
-        cycles.push_back(fs.totalCycles);
-    return cycles;
-}
-
 class PolicyConformance
     : public ::testing::TestWithParam<std::string>
 {
@@ -107,7 +100,7 @@ registryNames()
 } // namespace
 
 // Legs (a) + (b): invariants clean, and two runs of the same config
-// are byte-identical in counters and per-frame cycles.
+// are byte-identical in counters and in every per-frame statistic.
 TEST_P(PolicyConformance, CleanAndRepeatable)
 {
     const GpuConfig cfg = policyConfig(GetParam());
@@ -115,7 +108,7 @@ TEST_P(PolicyConformance, CleanAndRepeatable)
     const RunResult second = run(cfg);
     ASSERT_FALSE(first.frames.empty());
     EXPECT_EQ(first.counters, second.counters);
-    EXPECT_EQ(frameCycles(first), frameCycles(second));
+    EXPECT_EQ(first.frames, second.frames);
 }
 
 // Leg (c): snapshot at frame k, fork, finish — identical to the
@@ -143,7 +136,7 @@ TEST_P(PolicyConformance, SnapshotRestoreEqualsColdRun)
     ASSERT_TRUE(forked.isOk()) << forked.status().toString();
 
     EXPECT_EQ(cold.counters, forked->counters);
-    EXPECT_EQ(frameCycles(cold), frameCycles(*forked));
+    EXPECT_EQ(cold.frames, forked->frames);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -196,20 +189,60 @@ namespace
 /** RE behavior runs on a larger screen where ChE keeps ~1/3 of its
  *  tiles bit-stable frame over frame (the skip signal scales with
  *  resolution: more tiles -> more tiles no moving sprite touches). */
-RunResult
-runReBehavior(const char *policy_name)
+constexpr std::uint32_t kReWidth = 512;
+constexpr std::uint32_t kReHeight = 288;
+constexpr std::uint32_t kReFrames = 3;
+
+GpuConfig
+reBehaviorConfig(const char *policy_name)
 {
     GpuConfig cfg = GpuConfig::ptr(2, 4);
     const Status st = applyPolicy(cfg, policy_name);
     EXPECT_TRUE(st.isOk()) << st.toString();
-    cfg.screenWidth = 512;
-    cfg.screenHeight = 288;
+    cfg.screenWidth = kReWidth;
+    cfg.screenHeight = kReHeight;
     cfg.checkInvariants = true;
-    static const Scene scene(findBenchmark("ChE"), 512, 288);
-    Result<RunResult> r = runBenchmark(scene, cfg, 3);
+    return cfg;
+}
+
+const Scene &
+reBehaviorScene()
+{
+    static const Scene scene(findBenchmark("ChE"), kReWidth, kReHeight);
+    return scene;
+}
+
+/** @p policy_name's RE behavior run under @p plan. A restore that
+ *  falls back to a cold run fails the test: the run must really have
+ *  continued from the plan's snapshot. */
+RunResult
+runReBehavior(const char *policy_name, const CheckpointPlan &plan = {})
+{
+    testing::internal::CaptureStderr();
+    Result<RunResult> r = runBenchmark(
+        reBehaviorScene(), reBehaviorConfig(policy_name), kReFrames, 0,
+        plan);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("falling back to a cold run"), std::string::npos)
+        << err;
     EXPECT_TRUE(r.isOk()) << r.status().toString();
     return r.isOk() ? std::move(*r) : RunResult{};
 }
+
+/** A fresh scratch path for one RE survival test. */
+std::string
+reScratchPath(const char *policy_name, const char *what)
+{
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path()
+        / (std::string("libra_re_") + policy_name + "_" + what);
+    std::filesystem::remove_all(path);
+    return path.string();
+}
+
+class ReSkipSet : public ::testing::TestWithParam<const char *>
+{
+};
 
 } // namespace
 
@@ -265,6 +298,67 @@ TEST(RenderingElimination, SkippingSavesCyclesAndDram)
             << "frame " << f;
     }
 }
+
+// Each frame's skip set (count and per-tile mask) is part of the
+// result, so every way a sweep reuses finished frames must keep it.
+TEST_P(ReSkipSet, SurvivesJournalResume)
+{
+    const RunResult cold = runReBehavior(GetParam());
+    const std::string journal = reScratchPath(GetParam(), "journal");
+    const std::vector<SweepJob> jobs{SweepJob{
+        &findBenchmark("ChE"), reBehaviorConfig(GetParam()), kReFrames, 0}};
+    SweepPolicy policy;
+    policy.journalPath = journal;
+    SweepRunner runner(1);
+    ASSERT_EQ(runner.runWithPolicy(jobs, policy).failureCount(), 0u);
+
+    policy.resume = true;
+    const SweepOutcome resumed = runner.runWithPolicy(jobs, policy);
+    ASSERT_EQ(resumed.replayedFromJournal, 1u);
+    ASSERT_TRUE(resumed.jobs[0].result.isOk());
+    EXPECT_EQ(resumed.jobs[0].result->frames, cold.frames);
+    std::filesystem::remove(journal);
+}
+
+TEST_P(ReSkipSet, SurvivesCheckpointRestore)
+{
+    const RunResult cold = runReBehavior(GetParam());
+    const std::string dir = reScratchPath(GetParam(), "ckpt");
+    CheckpointPlan writing;
+    writing.dir = dir;
+    writing.every = 1;
+    runReBehavior(GetParam(), writing);
+
+    // Frames 1 and 2 are checkpointed; the restore starts from 2.
+    CheckpointPlan restoring;
+    restoring.dir = dir;
+    restoring.restore = true;
+    ASSERT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              2);
+    EXPECT_EQ(runReBehavior(GetParam(), restoring).frames, cold.frames);
+    std::filesystem::remove_all(dir);
+}
+
+TEST_P(ReSkipSet, SurvivesWarmPrefixFork)
+{
+    const RunResult cold = runReBehavior(GetParam());
+    CheckpointPlan capture;
+    capture.captureAfter = std::make_shared<std::vector<std::uint8_t>>();
+    capture.captureAfterFrames = 2;
+    runReBehavior(GetParam(), capture);
+    ASSERT_FALSE(capture.captureAfter->empty());
+
+    CheckpointPlan fork;
+    fork.warmStart = capture.captureAfter;
+    EXPECT_EQ(runReBehavior(GetParam(), fork).frames, cold.frames);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RePolicies, ReSkipSet, ::testing::Values("re", "re-libra"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        return std::string(info.param) == "re" ? "re" : "re_libra";
+    });
 
 // RE-off configurations must not even register the re.* counters —
 // the golden counter dump (test_perf_contracts) depends on the

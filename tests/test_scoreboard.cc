@@ -19,7 +19,7 @@
  *    LIBRA's gain over PTR (statics 0.9%-1.7% vs LIBRA 6.4% at bench
  *    scale).
  *
- * All runs execute once in a shared sweep (work-stealing pool, shared
+ * All runs execute once in a shared sweep (one shared job cursor, shared
  * scene cache) and every test reads from the cached results.
  */
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gpu/gpu_config.hh"
@@ -170,6 +171,39 @@ TEST(SweepRunner, FailedJobDoesNotKillTheSweep)
     EXPECT_TRUE(out.jobs[0].result.isOk());
     EXPECT_FALSE(out.jobs[1].result.isOk());
     EXPECT_TRUE(out.jobs[2].result.isOk());
+}
+
+TEST(SweepRunner, InvalidConfigFailsBeforeItsSceneIsBuilt)
+{
+    // No scene exists for a zero-width screen, so the job must fail
+    // validation before its scene is fetched, and fail alone.
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    const GpuConfig good = smallConfig(GpuConfig::libra(2, 4));
+    GpuConfig zero_width = good;
+    zero_width.screenWidth = 0;
+    std::vector<SweepJob> jobs;
+    jobs.push_back({&ccs, good, 2, 0});
+    jobs.push_back({&ccs, zero_width, 2, 0});
+
+    SweepRunner pool(2);
+    SceneCache cache;
+    SweepOutcome out =
+        pool.runWithPolicy(std::move(jobs), SweepPolicy{}, &cache);
+    ASSERT_EQ(out.jobs.size(), 2u);
+    const Result<RunResult> &bad = out.jobs[1].result;
+    ASSERT_FALSE(bad.isOk());
+    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(bad.status().message().find("invalid GPU configuration"),
+              std::string::npos)
+        << bad.status().toString();
+    EXPECT_EQ(cache.builds(), 1u);
+
+    const Result<RunResult> serial = runBenchmark(ccs, good, 2);
+    ASSERT_TRUE(serial.isOk()) << serial.status().toString();
+    const Result<RunResult> &ran = out.jobs[0].result;
+    ASSERT_TRUE(ran.isOk()) << ran.status().toString();
+    EXPECT_EQ(ran->counters, serial->counters);
+    EXPECT_EQ(ran->frames, serial->frames);
 }
 
 TEST(SweepRunner, NullSpecIsAnErrorNotACrash)
