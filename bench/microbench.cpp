@@ -3,16 +3,19 @@
  * google-benchmark microbenchmarks of the simulator substrate: event
  * queue throughput, cache access rate, DRAM scheduling, rasterization
  * and binning speed. These guard the simulator's own performance (a
- * full FHD frame is hundreds of thousands of events).
+ * full FHD frame is hundreds of thousands of events). Plus the
+ * snapshot container's checksum, which every farm cache hit pays.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
+#include "check/result_cache.hh"
 #include "common/rng.hh"
 #include "core/tile_scheduler.hh"
 #include "dram/dram.hh"
@@ -353,6 +356,41 @@ BENCHMARK(BM_InvariantCheckerRun)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Build and parse one result-cache entry holding a 5,910-byte report,
+ * the round trip a farm miss's store and a hit's lookup each do half
+ * of (the farm workload's CCS 256x128 2-frame entries are about this
+ * size). Each pass checksums the section twice; one item is one byte
+ * of the entry image.
+ */
+void
+BM_SnapshotChecksum(benchmark::State &state)
+{
+    constexpr std::size_t kReportBytes = 5910;
+    Rng rng(11);
+    std::string report(kReportBytes, ' ');
+    for (char &c : report)
+        c = static_cast<char>('!' + rng.below(94));
+    ResultCacheKey key;
+    key.configHash = rng.next();
+    key.sceneHash = rng.next();
+    key.frames = 2;
+
+    std::size_t image_bytes = 0;
+    for (auto _ : state) {
+        std::vector<std::uint8_t> image = buildResultCacheEntry(key, report);
+        image_bytes = image.size();
+        Result<std::string> back =
+            parseResultCacheEntry(key, std::move(image));
+        if (!back.isOk())
+            state.SkipWithError(back.status().toString().c_str());
+        benchmark::DoNotOptimize(back);
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(image_bytes));
+}
+BENCHMARK(BM_SnapshotChecksum);
 
 } // namespace
 

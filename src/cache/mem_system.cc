@@ -34,17 +34,6 @@ ReplicationTracker::recordEvict(Addr line)
     refCount.decrementOrErase(line);
 }
 
-std::uint64_t
-ReplicationTracker::currentReplicas() const
-{
-    std::uint64_t count = 0;
-    refCount.forEach([&count](Addr, std::uint32_t refs) {
-        if (refs > 1)
-            ++count;
-    });
-    return count;
-}
-
 void
 ReplicationTracker::exportState(SnapshotWriter &w) const
 {

@@ -172,16 +172,6 @@ class ReplicationTracker
             : static_cast<double>(replicated) / totalInstalls;
     }
 
-    /** Lines currently resident in more than one sibling. */
-    std::uint64_t currentReplicas() const;
-
-    void
-    reset()
-    {
-        totalInstalls = 0;
-        replicated = 0;
-    }
-
     /**
      * Serialize counters and the live refcount table for a
      * frame-boundary snapshot. Entries are emitted sorted by line

@@ -181,6 +181,16 @@ class SnapshotReader
     Status err;
 };
 
+/**
+ * The section checksum of the container format: CRC-32 (IEEE 802.3,
+ * reflected polynomial 0xEDB88320, initial value and final XOR
+ * 0xFFFFFFFF) of @p len bytes at @p data, any alignment. Computed by
+ * slicing-by-8 (eight bytes folded per step, a byte loop for the
+ * tail); the value is the classic byte-at-a-time CRC's, so images
+ * written by either load under both.
+ */
+std::uint32_t snapshotCrc32(const std::uint8_t *data, std::size_t len);
+
 /** Deterministic identity of a scene: benchmark abbrev + resolution
  *  (scene synthesis is a pure function of these). */
 std::uint64_t snapshotSceneHash(const std::string &abbrev,

@@ -56,16 +56,6 @@ Dram::mapAddress(Addr addr, std::uint32_t &channel, std::uint32_t &bank,
 }
 
 std::size_t
-Dram::channelBacklog(Addr addr) const
-{
-    std::uint32_t channel, bank;
-    std::uint64_t row;
-    mapAddress(addr, channel, bank, row);
-    return channelState[channel].readQ.size()
-        + channelState[channel].writeQ.size();
-}
-
-std::size_t
 Dram::pendingRequests() const
 {
     std::size_t total = 0;

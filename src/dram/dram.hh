@@ -102,9 +102,6 @@ class Dram : public MemSink
         observer = std::move(obs);
     }
 
-    /** Queued (not yet issued) requests on @p addr's channel. */
-    std::size_t channelBacklog(Addr addr) const;
-
     /** Queued (not yet issued) requests across all channels. */
     std::size_t pendingRequests() const;
 

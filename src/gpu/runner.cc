@@ -372,17 +372,25 @@ maybeCheckpoint(const CheckpointPlan &plan, const Scene &scene,
 
 } // namespace
 
+Status
+validateForBenchmark(const BenchmarkSpec &spec, const GpuConfig &cfg)
+{
+    if (Status st = cfg.validate(); !st.isOk()) {
+        return Status::error(st.code(), "benchmark ", spec.abbrev,
+                             ": invalid GPU configuration: ",
+                             st.message());
+    }
+    return Status::ok();
+}
+
 Result<RunResult>
 runBenchmark(const Scene &scene, const GpuConfig &cfg,
              std::uint32_t frames, std::uint32_t first_frame,
              const CheckpointPlan &checkpoint)
 {
     const BenchmarkSpec &spec = scene.spec();
-    if (Status st = cfg.validate(); !st.isOk()) {
-        return Status::error(st.code(), "benchmark ", spec.abbrev,
-                             ": invalid GPU configuration: ",
-                             st.message());
-    }
+    if (Status st = validateForBenchmark(spec, cfg); !st.isOk())
+        return st;
     if (scene.screenWidth() != cfg.screenWidth
         || scene.screenHeight() != cfg.screenHeight) {
         return Status::error(ErrorCode::InvalidArgument, "benchmark ",
@@ -484,11 +492,8 @@ Result<RunResult>
 runBenchmark(const BenchmarkSpec &spec, const GpuConfig &cfg,
              std::uint32_t frames, std::uint32_t first_frame)
 {
-    if (Status st = cfg.validate(); !st.isOk()) {
-        return Status::error(st.code(), "benchmark ", spec.abbrev,
-                             ": invalid GPU configuration: ",
-                             st.message());
-    }
+    if (Status st = validateForBenchmark(spec, cfg); !st.isOk())
+        return st;
     const Scene scene(spec, cfg.screenWidth, cfg.screenHeight);
     return runBenchmark(scene, cfg, frames, first_frame);
 }

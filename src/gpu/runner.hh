@@ -112,6 +112,15 @@ struct CheckpointPlan
 };
 
 /**
+ * cfg.validate(), attributed to @p spec: ok, or the error whose message
+ * reads "benchmark <abbrev>: invalid GPU configuration: <reason>". Both
+ * runBenchmark overloads return it on entry, and a sweep job returns it
+ * before its scene is fetched.
+ */
+Status validateForBenchmark(const BenchmarkSpec &spec,
+                            const GpuConfig &cfg);
+
+/**
  * Render @p frames frames of @p spec under @p cfg.
  *
  * Validates @p cfg first (InvalidArgument on a bad configuration). If

@@ -51,11 +51,9 @@ runJob(const SweepJob &job, SceneCache &scenes,
         // Validate before the scene is fetched: a scene cannot be built
         // for a configuration that fails validation (a zero-size
         // screen, say).
-        if (Status st = job.config.validate(); !st.isOk()) {
-            return Status::error(st.code(), "benchmark ",
-                                 job.spec->abbrev,
-                                 ": invalid GPU configuration: ",
-                                 st.message());
+        if (Status st = validateForBenchmark(*job.spec, job.config);
+            !st.isOk()) {
+            return st;
         }
         const std::shared_ptr<const Scene> scene = scenes.get(
             *job.spec, job.config.screenWidth, job.config.screenHeight);

@@ -1,5 +1,6 @@
 #include "sim/sweep_journal.hh"
 
+#include <limits>
 #include <sstream>
 
 #include "sim/journal.hh"
@@ -14,12 +15,23 @@ namespace
 
 constexpr const char *kSchema = "libra.sweep_journal/1";
 
+/** Largest value of the u32 fields (frame indices, timeline samples). */
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+
 /** Exact u64 from a JSON number (the parser keeps the raw literal, so
- *  values above 2^53 are not squeezed through a double). */
+ *  values above 2^53 are not squeezed through a double), refused as
+ *  CorruptData above @p max: a narrower field must not wrap. */
 Result<std::uint64_t>
-asU64(const JsonValue *v, const char *what)
+asU64(const JsonValue *v, const char *what,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    return jsonExactU64(v, what, ErrorCode::CorruptData, "journal: ");
+    Result<std::uint64_t> r =
+        jsonExactU64(v, what, ErrorCode::CorruptData, "journal: ");
+    if (r.isOk() && *r > max) {
+        return Status::error(ErrorCode::CorruptData, "journal: ", what,
+                             " ", *r, " is out of range (max ", max, ")");
+    }
+    return r;
 }
 
 Result<double>
@@ -44,7 +56,8 @@ asDouble(const JsonValue *v, const char *what)
 
 #define JOURNAL_GET_U32(obj, name, dest)                                  \
     do {                                                                  \
-        Result<std::uint64_t> r_ = asU64((obj).find(name), name);         \
+        Result<std::uint64_t> r_ =                                        \
+            asU64((obj).find(name), name, kU32Max);                       \
         if (!r_.isOk())                                                   \
             return r_.status();                                           \
         dest = static_cast<std::uint32_t>(*r_);                           \
@@ -68,7 +81,8 @@ u64Array(JsonWriter &w, const std::vector<std::uint64_t> &values)
 }
 
 Result<std::vector<std::uint64_t>>
-u64ArrayFrom(const JsonValue *v, const char *what)
+u64ArrayFrom(const JsonValue *v, const char *what,
+             std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     if (!v || !v->isArray()) {
         return Status::error(ErrorCode::CorruptData, "journal: missing ",
@@ -77,7 +91,7 @@ u64ArrayFrom(const JsonValue *v, const char *what)
     std::vector<std::uint64_t> out;
     out.reserve(v->items.size());
     for (const JsonValue &item : v->items) {
-        Result<std::uint64_t> r = asU64(&item, what);
+        Result<std::uint64_t> r = asU64(&item, what, max);
         if (!r.isOk())
             return r.status();
         out.push_back(*r);
@@ -201,7 +215,7 @@ frameFromJson(const JsonValue &v)
     fs.tileInstr = std::move(*tile_instr);
 
     Result<std::vector<std::uint64_t>> timeline =
-        u64ArrayFrom(v.find("dram_timeline"), "dram_timeline");
+        u64ArrayFrom(v.find("dram_timeline"), "dram_timeline", kU32Max);
     if (!timeline.isOk())
         return timeline.status();
     fs.dramTimeline.reserve(timeline->size());
@@ -255,8 +269,9 @@ frameFromJson(const JsonValue &v)
 
     if (const JsonValue *skipped = v.find("re_skipped_tiles")) {
         JOURNAL_GET_U64(v, "re_tiles_skipped", fs.reTilesSkipped);
+        // A skip set holds flags: 1 for a skipped tile, else 0.
         Result<std::vector<std::uint64_t>> tiles =
-            u64ArrayFrom(skipped, "re_skipped_tiles");
+            u64ArrayFrom(skipped, "re_skipped_tiles", 1);
         if (!tiles.isOk())
             return tiles.status();
         fs.reSkippedTiles.reserve(tiles->size());
@@ -353,7 +368,7 @@ runResultFromJson(const JsonValue &v)
     }
 
     Result<std::vector<std::uint64_t>> skipped =
-        u64ArrayFrom(v.find("skipped_frames"), "skipped_frames");
+        u64ArrayFrom(v.find("skipped_frames"), "skipped_frames", kU32Max);
     if (!skipped.isOk())
         return skipped.status();
     for (std::uint64_t f : *skipped)

@@ -9,11 +9,14 @@
  * contract: a run pointed at a corrupt, truncated or wrong-version
  * snapshot degrades to a cold run whose results are byte-identical to
  * never having checkpointed at all. Plus how a checkpoint dir picks
- * the file a run restores from.
+ * the file a run restores from, and the section checksum itself: the
+ * slicing-by-8 kernel against the byte-at-a-time CRC it replaced, and
+ * a container image pinned byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,7 +25,9 @@
 #include <vector>
 
 #include "check/fault_injector.hh"
+#include "check/result_cache.hh"
 #include "check/snapshot.hh"
+#include "common/rng.hh"
 #include "common/status.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/runner.hh"
@@ -82,6 +87,27 @@ restoreFromDir(const std::string &dir, const Scene &scene,
     if (r.isOk())
         out.run = std::move(*r);
     return out;
+}
+
+/** The byte-at-a-time CRC-32 the container used before slicing-by-8:
+ *  the reference every snapshotCrc32 value must equal. */
+std::uint32_t
+byteLoopCrc32(const std::uint8_t *data, std::size_t len)
+{
+    static const auto table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i)
+        crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+    return crc ^ 0xFFFFFFFFu;
 }
 
 /** A real snapshot image: render two frames and capture. */
@@ -364,4 +390,71 @@ TEST(CheckpointDir, MissingDirIsSilentAndFreshestMatchWins)
     EXPECT_EQ(other_first.err, "");
     EXPECT_EQ(other_first.run.counters, cold(cfg, kFrames, 1));
     std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotChecksum, StandardCheckValue)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(snapshotCrc32(
+                  reinterpret_cast<const std::uint8_t *>(check.data()),
+                  check.size()),
+              0xCBF43926u);
+    EXPECT_EQ(snapshotCrc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotChecksum, SlicingMatchesByteLoopAtEveryLengthAndOffset)
+{
+    // Every length 0..4096 at every start offset 0..7: each step count
+    // and tail length, at each alignment of the 8-byte words.
+    constexpr std::size_t kMaxLen = 4096;
+    Rng rng(29);
+    std::vector<std::uint8_t> buf(kMaxLen + 8);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            const std::uint8_t *data = buf.data() + offset;
+            ASSERT_EQ(snapshotCrc32(data, len), byteLoopCrc32(data, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+}
+
+TEST(SnapshotChecksum, ResultCacheEntryBytesArePinned)
+{
+    // A result-cache entry built from fixed inputs, byte for byte as
+    // the byte-loop CRC wrote it: a checksum change would make every
+    // stored entry and checkpoint unreadable.
+    ResultCacheKey key;
+    key.configHash = 0x0123456789abcdefull;
+    key.sceneHash = 0xfedcba9876543210ull;
+    key.frames = 2;
+    key.firstFrame = 3;
+    const std::string report =
+        "{\"schema\":\"libra.run_report/1\",\"benchmark\":\"CCS\","
+        "\"total_cycles\":123456789}";
+    const std::string pinned =
+        "4c534e5001000000efcdab896745230100000000000000001032547698badcfe"
+        "0400000003000000020000000b00000052000000000000004a00000000000000"
+        "7b22736368656d61223a226c696272612e72756e5f7265706f72742f31222c22"
+        "62656e63686d61726b223a22434353222c22746f74616c5f6379636c6573223a"
+        "3132333435363738397d79b6d26d";
+
+    const std::vector<std::uint8_t> image =
+        buildResultCacheEntry(key, report);
+    std::string hex;
+    for (const std::uint8_t b : image) {
+        constexpr char kDigits[] = "0123456789abcdef";
+        hex += kDigits[b >> 4];
+        hex += kDigits[b & 0xF];
+    }
+    EXPECT_EQ(hex, pinned);
+
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i + 1 < pinned.size(); i += 2)
+        bytes.push_back(static_cast<std::uint8_t>(
+            std::stoul(pinned.substr(i, 2), nullptr, 16)));
+    Result<std::string> back = parseResultCacheEntry(key, bytes);
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(*back, report);
 }

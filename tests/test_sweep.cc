@@ -43,32 +43,6 @@ mixedJobs(const BenchmarkSpec &ccs, const BenchmarkSpec &gdl)
     return jobs;
 }
 
-/** Every observable counter of one frame, for bit-exact comparison. */
-void
-expectFramesIdentical(const FrameStats &a, const FrameStats &b)
-{
-    EXPECT_EQ(a.frameIndex, b.frameIndex);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.geomCycles, b.geomCycles);
-    EXPECT_EQ(a.rasterCycles, b.rasterCycles);
-    EXPECT_EQ(a.dramReads, b.dramReads);
-    EXPECT_EQ(a.dramWrites, b.dramWrites);
-    EXPECT_EQ(a.dramActivates, b.dramActivates);
-    EXPECT_EQ(a.avgDramReadLatency, b.avgDramReadLatency);
-    EXPECT_EQ(a.textureHitRatio, b.textureHitRatio);
-    EXPECT_EQ(a.avgTextureLatency, b.avgTextureLatency);
-    EXPECT_EQ(a.textureRequests, b.textureRequests);
-    EXPECT_EQ(a.textureMisses, b.textureMisses);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.fragments, b.fragments);
-    EXPECT_EQ(a.warps, b.warps);
-    EXPECT_EQ(a.quads, b.quads);
-    EXPECT_EQ(a.temperatureOrder, b.temperatureOrder);
-    EXPECT_EQ(a.supertileSize, b.supertileSize);
-    EXPECT_EQ(a.tileDram, b.tileDram);
-    EXPECT_EQ(a.tileInstr, b.tileInstr);
-}
-
 } // namespace
 
 TEST(SweepRunner, ResultsIdenticalAcrossWorkerCounts)
@@ -92,8 +66,12 @@ TEST(SweepRunner, ResultsIdenticalAcrossWorkerCounts)
         ASSERT_TRUE(rb.isOk()) << rb.status().toString();
         EXPECT_EQ(ra->benchmark, rb->benchmark);
         ASSERT_EQ(ra->frames.size(), rb->frames.size());
-        for (std::size_t f = 0; f < ra->frames.size(); ++f)
-            expectFramesIdentical(ra->frames[f], rb->frames[f]);
+        // Whole frames: every FrameStats field, timeline, per-RU
+        // phases, energy and RE skip set included.
+        for (std::size_t f = 0; f < ra->frames.size(); ++f) {
+            EXPECT_TRUE(ra->frames[f] == rb->frames[f])
+                << "job " << i << ", frame " << f;
+        }
     }
 }
 

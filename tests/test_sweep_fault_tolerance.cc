@@ -460,6 +460,130 @@ TEST(SweepJournalTest, RunResultJsonRoundTripIsExact)
     EXPECT_EQ(r->frames, back->frames);
 }
 
+namespace
+{
+
+/** A one-frame result carrying every field the journal stores in
+ *  fewer than 64 bits: u32 frame index, DRAM timeline and interval,
+ *  supertile size and skipped frame, and an RE skip set of flags. */
+RunResult
+narrowFieldsResult()
+{
+    RunResult r;
+    r.benchmark = "CCS";
+    FrameStats fs;
+    fs.frameIndex = 1;
+    fs.dramTimeline = {7};
+    fs.supertileSize = 4;
+    fs.reTilesSkipped = 1;
+    fs.reSkippedTiles = {0, 1};
+    r.frames.push_back(fs);
+    r.skippedFrames = {3};
+    return r;
+}
+
+/** Decode narrowFieldsResult()'s JSON with @p from replaced by @p to. */
+Result<RunResult>
+decodeEdited(const std::string &from, const std::string &to)
+{
+    JsonWriter w;
+    runResultToJson(w, narrowFieldsResult());
+    std::string text = w.str();
+    const std::size_t at = text.find(from);
+    if (at == std::string::npos) {
+        return Status::error(ErrorCode::NotFound, "no '", from, "' in ",
+                             text);
+    }
+    text.replace(at, from.size(), to);
+    Result<JsonValue> doc = parseJson(text);
+    if (!doc.isOk())
+        return doc.status();
+    return runResultFromJson(*doc);
+}
+
+/** @p key's value @p from decodes at its field's maximum @p max and is
+ *  refused as CorruptData, naming @p key, at @p over. */
+void
+expectRangeChecked(const char *key, const std::string &from,
+                   const std::string &max, const std::string &over)
+{
+    const std::string name = std::string("\"") + key + "\":";
+    Result<RunResult> at_max = decodeEdited(name + from, name + max);
+    EXPECT_TRUE(at_max.isOk()) << at_max.status().toString();
+
+    Result<RunResult> above = decodeEdited(name + from, name + over);
+    ASSERT_FALSE(above.isOk()) << key << " " << over << " was accepted";
+    EXPECT_EQ(above.status().code(), ErrorCode::CorruptData);
+    EXPECT_NE(above.status().message().find(key), std::string::npos)
+        << above.status().toString();
+}
+
+} // namespace
+
+TEST(SweepJournalTest, FrameIndexAbove32BitsIsCorrupt)
+{
+    expectRangeChecked("frame_index", "1,", "4294967295,", "4294967296,");
+}
+
+TEST(SweepJournalTest, DramTimelineEntryAbove32BitsIsCorrupt)
+{
+    expectRangeChecked("dram_timeline", "[7]", "[4294967295]",
+                       "[4294967296]");
+}
+
+TEST(SweepJournalTest, DramTimelineIntervalAbove32BitsIsCorrupt)
+{
+    expectRangeChecked("dram_timeline_interval", "5000,", "4294967295,",
+                       "4294967296,");
+}
+
+TEST(SweepJournalTest, SupertileSizeAbove32BitsIsCorrupt)
+{
+    expectRangeChecked("supertile_size", "4,", "4294967295,",
+                       "4294967296,");
+}
+
+TEST(SweepJournalTest, SkippedFrameAbove32BitsIsCorrupt)
+{
+    expectRangeChecked("skipped_frames", "[3]", "[4294967295]",
+                       "[4294967296]");
+}
+
+TEST(SweepJournalTest, ReSkipFlagAboveOneIsCorrupt)
+{
+    expectRangeChecked("re_skipped_tiles", "[0,1]", "[1,1]", "[0,2]");
+}
+
+TEST(SweepJournalTest, AttemptsAbove32BitsIsCorrupt)
+{
+    const JournalPath journal("attempts");
+    JournalRecord record;
+    record.key = "CCS:256x128:f1@0:cfg:0000000000000000";
+    record.ok = true;
+    record.attempts = 1;
+    record.result = narrowFieldsResult();
+    const std::string line = sweepJournalLine(record);
+    const std::string from = "\"attempts\":1,";
+    const std::size_t at = line.find(from);
+    ASSERT_NE(at, std::string::npos) << line;
+    const auto load_with = [&](const std::string &attempts) {
+        std::string edited = line;
+        edited.replace(at, from.size(), "\"attempts\":" + attempts + ",");
+        std::ofstream(journal.str()) << edited << "\n";
+        return loadSweepJournal(journal.str());
+    };
+
+    Result<std::vector<JournalRecord>> at_max = load_with("4294967295");
+    ASSERT_TRUE(at_max.isOk()) << at_max.status().toString();
+    EXPECT_EQ(at_max->front().attempts, 4294967295u);
+
+    Result<std::vector<JournalRecord>> above = load_with("4294967296");
+    ASSERT_FALSE(above.isOk()) << "attempts 4294967296 was accepted";
+    EXPECT_EQ(above.status().code(), ErrorCode::CorruptData);
+    EXPECT_NE(above.status().message().find("attempts"), std::string::npos)
+        << above.status().toString();
+}
+
 TEST(SweepJournalTest, JournalWritesLoadAndResumeSkipsCompletedJobs)
 {
     const BenchmarkSpec &ccs = findBenchmark("CCS");
