@@ -229,32 +229,6 @@ sized(GpuConfig cfg, const BenchOptions &opt)
 }
 
 /**
- * CLI-boundary wrapper over runBenchmark(): the bench binaries have no
- * caller to hand an error to, so a bad configuration or a wedged run
- * ends the process with the library's message.
- */
-inline RunResult
-mustRun(const BenchmarkSpec &spec, const GpuConfig &cfg,
-        std::uint32_t frames, std::uint32_t first_frame = 0)
-{
-    Result<RunResult> r = runBenchmark(spec, cfg, frames, first_frame);
-    if (!r.isOk())
-        fatal(spec.abbrev, ": ", r.status().toString());
-    return std::move(*r);
-}
-
-/** CLI-boundary wrapper over memoryTimeFraction(). */
-inline double
-mustMemoryTimeFraction(const BenchmarkSpec &spec, const GpuConfig &cfg,
-                       std::uint32_t frames)
-{
-    const Result<double> f = memoryTimeFraction(spec, cfg, frames);
-    if (!f.isOk())
-        fatal(spec.abbrev, ": ", f.status().toString());
-    return *f;
-}
-
-/**
  * Batch of simulations executed in parallel (--jobs workers).
  *
  * Usage: enqueue every run with add() (recording the returned handles),
@@ -399,7 +373,7 @@ class Sweep
         r.benchmark = job.spec ? job.spec->abbrev : "?";
         r.config = job.config;
         r.config.faults.reset();
-        r.config.watchdog.cancel.reset();
+        r.config.watchdog.deadline.reset();
         r.frames.resize(job.frames);
         for (std::uint32_t k = 0; k < job.frames; ++k) {
             FrameStats &fs = r.frames[k];

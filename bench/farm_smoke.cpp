@@ -16,17 +16,26 @@
  *   8. a failed task counts as one failure however many coalesced
  *      waiters hear about it;
  *   9. the quarantine counts permanent failures only: a request that
- *      blows its deadline (transient) never blocks its config.
+ *      blows its deadline (transient) never blocks its config;
+ *  10. a request line longer than kFarmMaxRequestLine is refused with
+ *      an error and its connection closed, not buffered without bound.
  *
  * Exits nonzero with a message on the first violated expectation.
  * ctest runs it as FarmSmoke.EndToEnd; the out-of-process half (real
  * kill -9 against libra_farm --serve) lives in the CI workflow script.
  */
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
+
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "check/result_cache.hh"
 #include "check/snapshot.hh"
@@ -86,6 +95,53 @@ mustCall(FarmClient &client, const FarmRequest &req)
     if (!reply.isOk())
         fatal("call '", req.id, "': ", reply.status().toString());
     return std::move(*reply);
+}
+
+/** What a raw connection got back after sending one unterminated line. */
+struct RawExchange
+{
+    std::string received; //!< every byte read before EOF or timeout
+    bool closedByServer = false; //!< reading ended at EOF
+};
+
+/**
+ * Connect to @p path, send @p bytes bytes with no newline, then read
+ * until the server closes the connection. A 10 s receive timeout turns
+ * a server that keeps waiting for the newline into closedByServer ==
+ * false instead of a hang.
+ */
+RawExchange
+sendUnterminatedLine(const std::string &path, std::size_t bytes)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        fatal("raw socket: ", std::strerror(errno));
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0)
+        fatal("raw connect: ", std::strerror(errno));
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+    const std::string line(bytes, 'x');
+    for (std::size_t sent = 0; sent < line.size();) {
+        const ssize_t n = ::send(fd, line.data() + sent,
+                                 line.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0)
+            fatal("raw send: ", std::strerror(errno));
+        sent += static_cast<std::size_t>(n);
+    }
+
+    RawExchange out;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+        out.received.append(buf, static_cast<std::size_t>(n));
+    out.closedByServer = n == 0;
+    ::close(fd);
+    return out;
 }
 
 } // namespace
@@ -225,6 +281,35 @@ main()
                     "hit");
         SMOKE_CHECK(mustCall(*client, ping).header.ok(),
                     "connection desynced after zero-length report");
+    }
+
+    // 5c. A request line is bounded: one byte past kFarmMaxRequestLine
+    //     with no newline gets one "invalid argument" reply naming the
+    //     limit and a closed connection; a fresh connection is served.
+    {
+        const RawExchange flood =
+            sendUnterminatedLine(socket, kFarmMaxRequestLine + 1);
+        const std::string &got = flood.received;
+        SMOKE_CHECK(!got.empty() && got.find('\n') == got.size() - 1,
+                    "over-long line should get one reply line, got ",
+                    got.size(), " bytes: ", got);
+        Result<FarmResponse> refused =
+            parseFarmResponse(got.substr(0, got.size() - 1));
+        SMOKE_CHECK(refused.isOk() && refused->status == "error"
+                        && refused->code
+                            == errorCodeName(ErrorCode::InvalidArgument)
+                        && refused->message.find(std::to_string(
+                               kFarmMaxRequestLine))
+                            != std::string::npos,
+                    "over-long line should answer invalid argument "
+                    "naming the limit, got: ", got);
+        SMOKE_CHECK(flood.closedByServer,
+                    "server kept the over-long line's connection open");
+        Result<FarmClient> fresh = FarmClient::connect(socket);
+        if (!fresh.isOk())
+            fatal("connect(fresh): ", fresh.status().toString());
+        SMOKE_CHECK(mustCall(*fresh, ping).header.ok(),
+                    "server wedged after refusing an over-long line");
     }
 
     // 6. Recovery: stop the server, fabricate an accepted-but-never-

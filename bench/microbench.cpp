@@ -297,19 +297,17 @@ BM_TileSchedulerRanking(benchmark::State &state)
 BENCHMARK(BM_TileSchedulerRanking);
 
 /**
- * Trace-sink append rate, recording versus disabled. Spans and counter
- * samples land on component lanes from inside the event loop, so the
- * per-event cost bounds how much tracing can slow a traced run — and
- * the disabled flavor is the tax every untraced run still pays.
+ * Trace-sink append rate. Spans and counter samples land on component
+ * lanes from inside the event loop, so the per-event cost bounds how
+ * much tracing can slow a traced run. An untraced run has no sink: its
+ * components hold null lanes and pay one pointer test per call site.
  */
 void
 BM_TraceSinkEmission(benchmark::State &state)
 {
     constexpr int kBatch = 4096;
-    const bool enabled = state.range(0) != 0;
     for (auto _ : state) {
         TraceSink sink;
-        sink.setEnabled(enabled);
         TraceSink::Lane &lane = sink.lane("ru0");
         const std::uint32_t phase = sink.nameId("raster");
         const std::uint32_t occupancy = sink.nameId("warps");
@@ -323,9 +321,8 @@ BM_TraceSinkEmission(benchmark::State &state)
         benchmark::DoNotOptimize(sink.eventCount());
     }
     state.SetItemsProcessed(state.iterations() * kBatch * 3);
-    state.SetLabel(enabled ? "recording" : "disabled");
 }
-BENCHMARK(BM_TraceSinkEmission)->Arg(1)->Arg(0);
+BENCHMARK(BM_TraceSinkEmission);
 
 /**
  * End-to-end cost of arming the invariant checker: the same reduced

@@ -317,13 +317,6 @@ Cache::invalidateAll()
     });
 }
 
-double
-Cache::hitRatio() const
-{
-    const std::uint64_t total = hits.value() + misses.value();
-    return total == 0 ? 1.0 : static_cast<double>(hits.value()) / total;
-}
-
 void
 Cache::saveState(SnapshotWriter &w) const
 {

@@ -65,9 +65,6 @@ class Cache : public MemSink
      *  data can never reappear as a post-invalidate hit. */
     void invalidateAll();
 
-    /** Fraction of accesses that hit since construction (or reset). */
-    double hitRatio() const;
-
     /** Distinct line fills currently in flight (occupied MSHRs). Used
      *  by the Raster-Unit phase attribution to distinguish waiting on
      *  a short L1 hit from waiting on the memory system. */

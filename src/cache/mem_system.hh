@@ -163,15 +163,6 @@ class ReplicationTracker
     std::uint64_t installs() const { return totalInstalls; }
     std::uint64_t replicatedInstalls() const { return replicated; }
 
-    /** Fraction of installs that duplicated a sibling-resident line. */
-    double
-    replicationRatio() const
-    {
-        return totalInstalls == 0
-            ? 0.0
-            : static_cast<double>(replicated) / totalInstalls;
-    }
-
     /**
      * Serialize counters and the live refcount table for a
      * frame-boundary snapshot. Entries are emitted sorted by line

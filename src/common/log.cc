@@ -6,25 +6,6 @@
 namespace libra
 {
 
-namespace
-{
-
-LogLevel globalLevel = LogLevel::Normal;
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
@@ -42,15 +23,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (globalLevel != LogLevel::Quiet)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
-informImpl(const std::string &msg, LogLevel level)
+informImpl(const std::string &msg)
 {
-    if (static_cast<int>(globalLevel) >= static_cast<int>(level))
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace libra

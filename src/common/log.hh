@@ -18,24 +18,12 @@
 namespace libra
 {
 
-/** Verbosity levels for inform(). */
-enum class LogLevel
-{
-    Quiet = 0,
-    Normal = 1,
-    Verbose = 2
-};
-
-/** Global verbosity; benches set Quiet to keep table output clean. */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg, LogLevel level);
+void informImpl(const std::string &msg);
 
 namespace detail
 {
@@ -64,15 +52,8 @@ format(Args &&...args)
 /** Non-fatal warning. */
 #define warn(...) ::libra::warnImpl(::libra::detail::format(__VA_ARGS__))
 
-/** Normal-verbosity status message. */
-#define inform(...) \
-    ::libra::informImpl(::libra::detail::format(__VA_ARGS__), \
-                        ::libra::LogLevel::Normal)
-
-/** Verbose status message. */
-#define inform_verbose(...) \
-    ::libra::informImpl(::libra::detail::format(__VA_ARGS__), \
-                        ::libra::LogLevel::Verbose)
+/** Status message. */
+#define inform(...) ::libra::informImpl(::libra::detail::format(__VA_ARGS__))
 
 /** Checked invariant that stays on in release builds. */
 #define libra_assert(cond, ...) \

@@ -28,53 +28,6 @@ StatGroup::values() const
     return out;
 }
 
-namespace
-{
-
-/**
- * True when @p needle occurs in @p name aligned to dot-separated
- * component boundaries on both sides. Prevents a "ru1" query from
- * silently absorbing "ru10" counters (see the header).
- */
-bool
-matchesAtBoundary(const std::string &name, const std::string &needle)
-{
-    if (needle.empty())
-        return true;
-    std::size_t pos = name.find(needle);
-    while (pos != std::string::npos) {
-        const std::size_t end = pos + needle.size();
-        const bool left_ok =
-            pos == 0 || name[pos - 1] == '.' || needle.front() == '.';
-        const bool right_ok = end == name.size() || name[end] == '.'
-            || needle.back() == '.';
-        if (left_ok && right_ok)
-            return true;
-        pos = name.find(needle, pos + 1);
-    }
-    return false;
-}
-
-} // namespace
-
-std::uint64_t
-StatGroup::sumMatching(const std::string &needle) const
-{
-    std::uint64_t total = 0;
-    for (const auto &[name, counter] : entries) {
-        if (matchesAtBoundary(name, needle))
-            total += counter->value();
-    }
-    return total;
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &[name, counter] : entries)
-        counter->reset();
-}
-
 Status
 StatGroup::restoreValues(const std::map<std::string, std::uint64_t> &values)
 {
@@ -92,25 +45,6 @@ StatGroup::restoreValues(const std::map<std::string, std::uint64_t> &values)
         counter->set(it->second);
     }
     return Status::ok();
-}
-
-std::map<std::string, std::uint64_t>
-StatSnapshot::deltaTo(const StatSnapshot &later) const
-{
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &[name, value] : later.data) {
-        auto it = data.find(name);
-        const std::uint64_t before = it == data.end() ? 0 : it->second;
-        out[name] = value >= before ? value - before : 0;
-    }
-    return out;
-}
-
-std::uint64_t
-StatSnapshot::get(const std::string &full_name) const
-{
-    auto it = data.find(full_name);
-    return it == data.end() ? 0 : it->second;
 }
 
 } // namespace libra

@@ -4,8 +4,8 @@
  *
  * Components declare named Counter members and register them with a
  * StatGroup. The registry supports hierarchical naming
- * ("gpu.ru0.texcache.hits"), full dumps, and snapshot/delta queries used
- * by the per-frame adaptive controller and by the benches.
+ * ("gpu.ru0.texcache.hits"), full dumps (run reports, the golden
+ * counter dump) and restoring every value from a snapshot.
  */
 
 #ifndef LIBRA_COMMON_STATS_HH
@@ -29,7 +29,6 @@ class Counter
 
     void inc(std::uint64_t n = 1) { _value += n; }
     void set(std::uint64_t v) { _value = v; }
-    void reset() { _value = 0; }
     std::uint64_t value() const { return _value; }
 
     Counter &operator++() { ++_value; return *this; }
@@ -59,20 +58,6 @@ class StatGroup
     std::map<std::string, std::uint64_t> values() const;
 
     /**
-     * Sum of all counters whose full name contains @p needle at a
-     * component boundary: the match must start at the beginning of a
-     * dot-separated component and end at the end of one, so "ru1"
-     * matches "gpu.ru1.tex.hits" but NOT "gpu.ru10.tex.hits". A
-     * needle with a leading or trailing dot anchors that side
-     * explicitly (".hits" sums every counter whose last component is
-     * "hits").
-     */
-    std::uint64_t sumMatching(const std::string &needle) const;
-
-    /** Reset every registered counter to zero. */
-    void resetAll();
-
-    /**
      * Set every registered counter from @p values (snapshot restore).
      * The name sets must match exactly both ways — a counter with no
      * saved value or a saved value with no counter is CorruptData, so
@@ -86,23 +71,6 @@ class StatGroup
   private:
     std::string _name;
     std::vector<std::pair<std::string, Counter *>> entries;
-};
-
-/** Point-in-time copy of a StatGroup, for frame-delta computations. */
-class StatSnapshot
-{
-  public:
-    StatSnapshot() = default;
-    explicit StatSnapshot(const StatGroup &group) : data(group.values()) {}
-
-    /** Per-stat difference @p later - *this (counters never decrease). */
-    std::map<std::string, std::uint64_t>
-    deltaTo(const StatSnapshot &later) const;
-
-    std::uint64_t get(const std::string &full_name) const;
-
-  private:
-    std::map<std::string, std::uint64_t> data;
 };
 
 } // namespace libra

@@ -44,7 +44,7 @@ enum class ErrorCode
     NoProgress,         //!< simulation livelocked/deadlocked
     FailedPrecondition, //!< object unusable (e.g. wedged GPU reused)
     InvariantViolation, //!< a model conservation law failed to hold
-    DeadlineExceeded,   //!< wall-clock deadline hit / run cancelled
+    DeadlineExceeded,   //!< wall-clock deadline hit
     Unavailable,        //!< transient infrastructure failure; retryable
 };
 

@@ -65,9 +65,6 @@ class TileScheduler
     std::uint32_t supertileSize() const { return plan.supertileSize; }
     std::uint64_t lastRankingCycles() const { return plan.rankingCycles; }
 
-    /** The policy object planning this scheduler's frames. */
-    const SchedulingPolicy &schedulingPolicy() const { return *policy; }
-
     /**
      * Tiles not yet handed out this frame (queued supertiles plus
      * partially consumed per-RU cursors). 64-bit: a supertile count

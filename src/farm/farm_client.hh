@@ -40,8 +40,6 @@ class FarmClient
     FarmClient(const FarmClient &) = delete;
     FarmClient &operator=(const FarmClient &) = delete;
 
-    bool connected() const { return fd >= 0; }
-
     /**
      * Send @p req and block for the reply. The transport can fail
      * (IoError, CorruptData on a bad header); an "error"/"rejected"

@@ -12,7 +12,7 @@
  * explicit byte count makes that a checked property, not an
  * assumption). Request keys the parser does not know are ignored, so
  * lines written by older clients, and journals holding them, still
- * parse.
+ * parse. A request line may be at most kFarmMaxRequestLine bytes.
  *
  * Request ops:
  *   simulate (default) — run/memoize one (benchmark, resolution,
@@ -29,6 +29,7 @@
 #ifndef LIBRA_FARM_FARM_PROTOCOL_HH
 #define LIBRA_FARM_FARM_PROTOCOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -42,6 +43,12 @@ namespace libra
 inline constexpr const char *kFarmRequestSchema = "libra.farm_request/1";
 inline constexpr const char *kFarmResponseSchema =
     "libra.farm_response/1";
+
+/** Longest request line a server buffers, far above any real request
+ *  (the longest field is the client-chosen id). A connection that
+ *  sends more without a newline gets an "invalid argument" error reply
+ *  and is closed. */
+inline constexpr std::size_t kFarmMaxRequestLine = 64 * 1024;
 
 /** Request operations. */
 enum class FarmOp

@@ -43,6 +43,64 @@ journalLine(const std::string &key, const FarmRequest &req)
     return w.str();
 }
 
+/** The job a simulate request names: benchmark, validated config and
+ *  frame range. An unknown benchmark is reported before a bad config. */
+Result<SweepJob>
+resolveJob(const FarmRequest &req)
+{
+    Result<const BenchmarkSpec *> spec = tryFindBenchmark(req.benchmark);
+    if (!spec.isOk())
+        return spec.status();
+    Result<GpuConfig> cfg = farmRequestConfig(req);
+    if (!cfg.isOk())
+        return cfg.status();
+    SweepJob job;
+    job.spec = *spec;
+    job.config = std::move(*cfg);
+    job.frames = req.frames;
+    job.firstFrame = req.firstFrame;
+    return job;
+}
+
+/** The result-cache key of @p job's run. */
+ResultCacheKey
+cacheKey(const SweepJob &job)
+{
+    return {job.config.configHash(),
+            snapshotSceneHash(job.spec->abbrev, job.config.screenWidth,
+                              job.config.screenHeight),
+            kResultCacheCodeVersion, job.frames, job.firstFrame};
+}
+
+/** A reply carrying @p st's code and message: status "error", or
+ *  "rejected" when admission control turned the request away. */
+FarmResponse
+failureReply(const std::string &id, const std::string &key,
+             const Status &st, const char *status = "error")
+{
+    FarmResponse resp;
+    resp.id = id;
+    resp.key = key;
+    resp.status = status;
+    resp.code = errorCodeName(st.code());
+    resp.message = st.message();
+    return resp;
+}
+
+/** The header of an "ok" reply that @p report's bytes follow. */
+FarmResponse
+reportReply(const std::string &id, const std::string &key,
+            FarmCacheState state, const std::string &report)
+{
+    FarmResponse resp;
+    resp.id = id;
+    resp.key = key;
+    resp.status = "ok";
+    resp.cache = state;
+    resp.reportBytes = report.size();
+    return resp;
+}
+
 } // namespace
 
 /** One client connection. The fd is written under writeMtx only, and
@@ -59,7 +117,7 @@ struct FarmServer::Connection
 /** One unit of simulation work, shared by every coalesced waiter. */
 struct FarmServer::Task
 {
-    FarmRequest req;
+    SweepJob job;
     ResultCacheKey key;
     std::string keyStr;
 
@@ -252,23 +310,17 @@ FarmServer::recoverFromJournal()
     }
 
     for (const auto &[keyStr, req] : pending) {
-        Result<const BenchmarkSpec *> spec =
-            tryFindBenchmark(req.benchmark);
-        Result<GpuConfig> cfg = farmRequestConfig(req);
-        if (!spec.isOk() || !cfg.isOk()) {
+        const Result<SweepJob> job = resolveJob(req);
+        if (!job.isOk()) {
             warn("farm journal: dropping unreplayable request ", keyStr,
-                 ": ", (spec.isOk() ? cfg.status() : spec.status())
-                           .message());
+                 ": ", job.status().message());
             continue;
         }
-        const ResultCacheKey key{
-            cfg->configHash(),
-            snapshotSceneHash((*spec)->abbrev, req.width, req.height),
-            kResultCacheCodeVersion, req.frames, req.firstFrame};
+        const ResultCacheKey key = cacheKey(*job);
         if (cache.contains(key))
             continue; // completed before the crash
         inform("farm: recovering journaled request ", keyStr);
-        Result<std::string> report = simulate(req);
+        Result<std::string> report = simulate(*job);
         if (!report.isOk()) {
             warn("farm journal: replay of ", keyStr, " failed "
                  "permanently: ", report.status().message());
@@ -362,6 +414,13 @@ FarmServer::connectionLoop(std::shared_ptr<Connection> conn)
             start = end + 1;
         }
         acc.erase(0, start);
+        if (acc.size() > kFarmMaxRequestLine) {
+            const Status st = Status::error(ErrorCode::InvalidArgument,
+                                            "request line longer than ",
+                                            kFarmMaxRequestLine, " bytes");
+            respond(conn, failureReply("", "", st));
+            break;
+        }
     }
     {
         std::lock_guard<std::mutex> lock(conn->writeMtx);
@@ -392,11 +451,7 @@ FarmServer::handleLine(const std::shared_ptr<Connection> &conn,
     }
     Result<FarmRequest> parsed = parseFarmRequest(line);
     if (!parsed.isOk()) {
-        FarmResponse resp;
-        resp.status = "error";
-        resp.code = errorCodeName(parsed.status().code());
-        resp.message = parsed.status().message();
-        respond(conn, resp);
+        respond(conn, failureReply("", "", parsed.status()));
         return;
     }
     const FarmRequest &req = *parsed;
@@ -448,89 +503,60 @@ void
 FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
                            const FarmRequest &req)
 {
-    FarmResponse resp;
-    resp.id = req.id;
-
-    Result<const BenchmarkSpec *> spec = tryFindBenchmark(req.benchmark);
-    if (!spec.isOk()) {
-        resp.status = "error";
-        resp.code = errorCodeName(spec.status().code());
-        resp.message = spec.status().message();
-        respond(conn, resp);
+    Result<SweepJob> job = resolveJob(req);
+    if (!job.isOk()) {
+        respond(conn, failureReply(req.id, "", job.status()));
         return;
     }
-    Result<GpuConfig> cfg = farmRequestConfig(req);
-    if (!cfg.isOk()) {
-        resp.status = "error";
-        resp.code = errorCodeName(cfg.status().code());
-        resp.message = cfg.status().message();
-        respond(conn, resp);
-        return;
-    }
-
-    const ResultCacheKey key{
-        cfg->configHash(),
-        snapshotSceneHash((*spec)->abbrev, req.width, req.height),
-        kResultCacheCodeVersion, req.frames, req.firstFrame};
-    resp.key = key.toString();
+    const ResultCacheKey key = cacheKey(*job);
+    const std::string keyStr = key.toString();
 
     // Fast path: serve a hit without touching the task lock.
     Result<std::string> hit = cache.lookup(key);
     if (hit.isOk()) {
-        resp.status = "ok";
-        resp.cache = FarmCacheState::Hit;
-        resp.reportBytes = hit->size();
-        {
-            std::lock_guard<std::mutex> lock(statsMtx);
-            ++counters.cacheHits;
-        }
-        respond(conn, resp, &*hit);
+        respondHit(conn, req.id, keyStr, *hit);
         return;
     }
     if (hit.status().code() != ErrorCode::NotFound) {
-        warn("farm: unusable cache entry for ", resp.key, " (",
+        warn("farm: unusable cache entry for ", keyStr, " (",
              hit.status().message(), ") — re-simulating");
     }
 
     if (Status st = quarantine.check(key.configHash); !st.isOk()) {
-        resp.status = "error";
-        resp.code = errorCodeName(st.code());
-        resp.message = st.message();
-        respond(conn, resp);
+        respond(conn, failureReply(req.id, keyStr, st));
         return;
     }
+
+    const auto queueFull = [&] {
+        return Status::error(ErrorCode::Unavailable, "farm queue full (",
+                             opt.maxQueue, " tasks)");
+    };
 
     // Admission bookkeeping under taskMtx — no I/O here (replies go
     // out after the lock drops), so coalesce attaches and quota
     // rejections from other connections never serialize behind a
     // journal sync, a cache file read, or a stalled client's socket.
-    bool turnedAway = false;
+    Status turnedAway = Status::ok();
     {
         std::lock_guard<std::mutex> lock(taskMtx);
 
         if (conn->pending.load() >= opt.clientQuota) {
-            resp.status = "rejected";
-            resp.code = errorCodeName(ErrorCode::Unavailable);
-            resp.message = "per-client quota of "
-                + std::to_string(opt.clientQuota)
-                + " outstanding requests reached";
-            std::lock_guard<std::mutex> slock(statsMtx);
-            ++counters.rejected;
-            turnedAway = true;
-        } else if (tryAttachLocked(conn, req.id, resp.key)) {
+            turnedAway = Status::error(ErrorCode::Unavailable,
+                                       "per-client quota of ",
+                                       opt.clientQuota,
+                                       " outstanding requests reached");
+        } else if (tryAttachLocked(conn, req.id, keyStr)) {
             return;
         } else if (queue.size() >= opt.maxQueue) {
-            resp.status = "rejected";
-            resp.code = errorCodeName(ErrorCode::Unavailable);
-            resp.message = "farm queue full ("
-                + std::to_string(opt.maxQueue) + " tasks)";
+            turnedAway = queueFull();
+        }
+        if (!turnedAway.isOk()) {
             std::lock_guard<std::mutex> slock(statsMtx);
             ++counters.rejected;
-            turnedAway = true;
         }
     }
-    if (turnedAway) {
-        respond(conn, resp);
+    if (!turnedAway.isOk()) {
+        respond(conn, failureReply(req.id, keyStr, turnedAway, "rejected"));
         return;
     }
 
@@ -539,14 +565,7 @@ FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
     // erased, so a finished task is visible here); re-check before
     // paying for a journal append and a simulation.
     if (Result<std::string> again = cache.lookup(key); again.isOk()) {
-        resp.status = "ok";
-        resp.cache = FarmCacheState::Hit;
-        resp.reportBytes = again->size();
-        {
-            std::lock_guard<std::mutex> slock(statsMtx);
-            ++counters.cacheHits;
-        }
-        respond(conn, resp, &*again);
+        respondHit(conn, req.id, keyStr, *again);
         return;
     }
 
@@ -555,12 +574,9 @@ FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
     // for a key already admitted by a racing connection is harmless —
     // replay dedups on the key.
     if (journal.isOpen()) {
-        if (Status st = journal.append(journalLine(resp.key, req));
+        if (Status st = journal.append(journalLine(keyStr, req));
             !st.isOk()) {
-            resp.status = "error";
-            resp.code = errorCodeName(st.code());
-            resp.message = st.message();
-            respond(conn, resp);
+            respond(conn, failureReply(req.id, keyStr, st));
             return;
         }
     }
@@ -573,20 +589,17 @@ FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
         // (attach to it) and the queue may have filled (reject; the
         // stray journal line only costs a redundant, cache-checked
         // replay at next start).
-        if (tryAttachLocked(conn, req.id, resp.key))
+        if (tryAttachLocked(conn, req.id, keyStr))
             return;
         if (queue.size() >= opt.maxQueue) {
-            resp.status = "rejected";
-            resp.code = errorCodeName(ErrorCode::Unavailable);
-            resp.message = "farm queue full ("
-                + std::to_string(opt.maxQueue) + " tasks)";
+            turnedAway = queueFull();
             std::lock_guard<std::mutex> slock(statsMtx);
             ++counters.rejected;
         } else {
             auto task = std::make_shared<Task>();
-            task->req = req;
+            task->job = std::move(*job);
             task->key = key;
-            task->keyStr = resp.key;
+            task->keyStr = keyStr;
             task->waiters.push_back({conn, req.id, FarmCacheState::Miss});
             conn->pending.fetch_add(1);
             inflight.emplace(task->keyStr, task);
@@ -595,7 +608,20 @@ FarmServer::handleSimulate(const std::shared_ptr<Connection> &conn,
             return;
         }
     }
-    respond(conn, resp);
+    respond(conn, failureReply(req.id, keyStr, turnedAway, "rejected"));
+}
+
+void
+FarmServer::respondHit(const std::shared_ptr<Connection> &conn,
+                       const std::string &id, const std::string &keyStr,
+                       const std::string &report)
+{
+    {
+        std::lock_guard<std::mutex> lock(statsMtx);
+        ++counters.cacheHits;
+    }
+    respond(conn, reportReply(id, keyStr, FarmCacheState::Hit, report),
+            &report);
 }
 
 bool
@@ -618,21 +644,8 @@ FarmServer::tryAttachLocked(const std::shared_ptr<Connection> &conn,
 }
 
 Result<std::string>
-FarmServer::simulate(const FarmRequest &req)
+FarmServer::simulate(const SweepJob &job)
 {
-    Result<const BenchmarkSpec *> spec = tryFindBenchmark(req.benchmark);
-    if (!spec.isOk())
-        return spec.status();
-    Result<GpuConfig> cfg = farmRequestConfig(req);
-    if (!cfg.isOk())
-        return cfg.status();
-
-    SweepJob job;
-    job.spec = *spec;
-    job.config = *cfg;
-    job.frames = req.frames;
-    job.firstFrame = req.firstFrame;
-
     // Deadlines and retries per attempt; the quarantine spans requests,
     // so it lives in the server (threshold 0 here) and counts each
     // failed task once.
@@ -669,7 +682,7 @@ FarmServer::workerLoop()
             queue.pop_front();
         }
 
-        Result<std::string> report = simulate(task->req);
+        Result<std::string> report = simulate(task->job);
         if (report.isOk()) {
             task->report = std::move(*report);
             if (Status st = cache.store(task->key, task->report);
@@ -727,19 +740,12 @@ FarmServer::finishTask(const std::shared_ptr<Task> &task)
         ++counters.failures;
     }
     for (const Task::Waiter &w : waiters) {
-        FarmResponse resp;
-        resp.id = w.id;
-        resp.key = task->keyStr;
         if (task->failure.isOk()) {
-            resp.status = "ok";
-            resp.cache = w.state;
-            resp.reportBytes = task->report.size();
-            respond(w.conn, resp, &task->report);
+            respond(w.conn,
+                    reportReply(w.id, task->keyStr, w.state, task->report),
+                    &task->report);
         } else {
-            resp.status = "error";
-            resp.code = errorCodeName(task->failure.code());
-            resp.message = task->failure.message();
-            respond(w.conn, resp);
+            respond(w.conn, failureReply(w.id, task->keyStr, task->failure));
         }
         w.conn->pending.fetch_sub(1);
     }

@@ -16,7 +16,7 @@
  *    under admission control (bounded queue + per-connection quota) and
  *    simulated on the worker pool via SweepRunner::runWithPolicy, which
  *    supplies the failure machinery of DESIGN.md §7: per-attempt
- *    wall-clock deadlines (watchdog CancelToken), bounded
+ *    wall-clock deadlines (polled by the watchdog), bounded
  *    exponential-backoff retries, and attributable "job N [key]:"
  *    failure messages. The sweep's Quarantine rule, applied across
  *    requests, fails repeat-offender configs fast so one poisoned
@@ -145,9 +145,13 @@ class FarmServer
      *  @p all, every connection thread). Joins happen with connMtx
      *  released so an exiting thread can still deregister itself. */
     void reapConnThreads(bool all);
-    /** Run one simulate request to a report (shared by workers and
-     *  journal recovery); status carries the attributable failure. */
-    Result<std::string> simulate(const FarmRequest &req);
+    /** Reply with a cached report and count the hit. */
+    void respondHit(const std::shared_ptr<Connection> &conn,
+                    const std::string &id, const std::string &keyStr,
+                    const std::string &report);
+    /** Run one resolved simulate request to a report (shared by workers
+     *  and journal recovery); status carries the attributable failure. */
+    Result<std::string> simulate(const SweepJob &job);
     void finishTask(const std::shared_ptr<Task> &task);
 
     void respond(const std::shared_ptr<Connection> &conn,

@@ -158,7 +158,6 @@ Gpu::Gpu(const GpuConfig &cfg)
         reSkipTile.resize(grid.tileCount(), 0);
     }
 
-    tileInstr.resize(grid.tileCount(), 0);
     tileFlushCount.resize(grid.tileCount(), 0);
     tileSkipCount.resize(grid.tileCount(), 0);
     // Seed with a sentinel so every tile flushes on the first frame.
@@ -278,7 +277,6 @@ Gpu::applyTileDone(const TileDoneInfo &info)
 {
     ++tilesFlushed;
     ++tileFlushCount[info.tile];
-    tileInstr[info.tile] += info.instructions;
     tempTable.addInstructions(info.tile, info.instructions);
     frameInstructions += info.instructions;
     frameFragments += info.fragments;
@@ -422,7 +420,6 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
     frameAttributedDram = 0;
     std::fill(tileFlushCount.begin(), tileFlushCount.end(), 0u);
     std::fill(tileSkipCount.begin(), tileSkipCount.end(), 0u);
-    std::fill(tileInstr.begin(), tileInstr.end(), 0);
     frameTilesSkipped = 0;
     // Under Rendering Elimination the frame buffer persists: a skipped
     // tile's pixels must remain from the previous frame, and every
@@ -563,7 +560,7 @@ Gpu::tryRenderFrame(const FrameData &frame, const TexturePool &pool)
     fs.quads = after.quads - before.quads;
 
     fs.tileDram = tempTable.dramVector();
-    fs.tileInstr = tileInstr;
+    fs.tileInstr = tempTable.instrVector();
     fs.dramTimeline = dramSampler.samples();
     fs.dramTimelineInterval =
         static_cast<std::uint32_t>(dramSampler.intervalTicks());

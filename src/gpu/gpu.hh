@@ -248,7 +248,6 @@ class Gpu
     std::vector<std::uint32_t> tileFlushCount; //!< per-tile, this frame
     std::uint64_t frameAttributedDram = 0; //!< tile-tagged DRAM accesses
     IntervalSampler dramSampler; //!< Fig. 7 bandwidth timeline
-    std::vector<std::uint64_t> tileInstr;
     std::vector<std::uint64_t> tileSignatures; //!< transaction elim.
 
     // Rendering Elimination (GpuConfig::renderingElimination). The

@@ -187,9 +187,9 @@ GpuConfig::configHash() const
     // captureImage changes the *payload* of a result (per-pixel hash
     // image present or not), so results keyed by this hash must include
     // it even though it never changes a counter. The remaining runtime
-    // attachments (watchdog, cancel, faults, traceEvents,
-    // checkInvariants) never change what a successful run returns and
-    // are deliberately excluded.
+    // attachments (watchdog, faults, traceEvents, checkInvariants)
+    // never change what a successful run returns and are deliberately
+    // excluded.
     h.mix(captureImage);
     return h.value();
 }

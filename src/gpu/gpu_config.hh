@@ -111,7 +111,7 @@ struct GpuConfig
     /**
      * Armed fault injector (src/check/fault_injector), set per job
      * attempt by SweepRunner when a FaultPlan is in force; null in
-     * normal runs. Like the watchdog's CancelToken this is a runtime
+     * normal runs. Like the watchdog's deadline this is a runtime
      * attachment, not a property of the simulated machine, so it is
      * excluded from configHash().
      */
@@ -120,7 +120,7 @@ struct GpuConfig
     /**
      * Stable 64-bit hash of every *model* field — everything that can
      * change a simulation's counters, and nothing that can't (runtime
-     * attachments: watchdog limits, cancel token, fault injector,
+     * attachments: watchdog limits and deadline, fault injector,
      * instrumentation toggles are all excluded). Used as the journal /
      * result-cache key (ROADMAP item 2) and to attribute farm-log
      * failures to a config; identical configs hash identically across

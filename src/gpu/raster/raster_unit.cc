@@ -554,8 +554,6 @@ RasterUnit::startFlush()
     fin->done.instructions = ctx->instructions;
     fin->done.warps = ctx->warps;
     fin->done.fragments = ctx->fragments;
-    fin->done.signature = ctx->signature;
-    fin->done.flushElided = elide;
     fin->done.rect = rect;
     fin->bytes = bytes;
     fin->tile = tile;

@@ -179,8 +179,6 @@ struct TileDoneInfo
     std::uint64_t instructions = 0;
     std::uint64_t warps = 0;
     std::uint64_t fragments = 0;
-    std::uint64_t signature = 0; //!< content hash (transaction elim.)
-    bool flushElided = false;    //!< write skipped: content unchanged
     const std::vector<std::uint64_t> *colorBuffer = nullptr;
     IRect rect;
 };
@@ -258,10 +256,6 @@ class RasterUnit : public RasterSink
 
     const RasterUnitConfig &cfg() const { return config; }
     ShaderCore &core(std::uint32_t i) { return *cores[i]; }
-    std::uint32_t coreCount() const
-    {
-        return static_cast<std::uint32_t>(cores.size());
-    }
 
     // Statistics.
     Counter primsRasterized;

@@ -61,7 +61,6 @@ class TriangleSetup
     void rasterize(const IRect &rect, RasterOutput &out) const;
 
     std::uint8_t mip() const { return _mip; }
-    float texelsPerPixel() const { return _texelsPerPixel; }
 
   private:
     Vec2 v[3];       //!< winding-normalized positions

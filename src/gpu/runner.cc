@@ -1,6 +1,5 @@
 #include "gpu/runner.hh"
 
-#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <utility>
@@ -23,15 +22,6 @@ RunResult::totalCycles() const
 }
 
 std::uint64_t
-RunResult::totalRasterCycles() const
-{
-    std::uint64_t total = 0;
-    for (const auto &fs : frames)
-        total += fs.rasterCycles;
-    return total;
-}
-
-std::uint64_t
 RunResult::totalGeomCycles() const
 {
     std::uint64_t total = 0;
@@ -46,15 +36,6 @@ RunResult::dramAccesses() const
     std::uint64_t total = 0;
     for (const auto &fs : frames)
         total += fs.dramReads + fs.dramWrites;
-    return total;
-}
-
-std::uint64_t
-RunResult::textureRequests() const
-{
-    std::uint64_t total = 0;
-    for (const auto &fs : frames)
-        total += fs.textureRequests;
     return total;
 }
 
@@ -525,27 +506,6 @@ speedup(const RunResult &a, const RunResult &b)
     return b_cycles == 0.0
         ? 0.0
         : static_cast<double>(a.totalCycles()) / b_cycles;
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    // Non-positive entries (a zero-cycle run, a failed data point) are
-    // skipped with a warning instead of aborting: one bad sample should
-    // degrade the average, not kill a whole results table.
-    std::size_t used = 0;
-    double log_sum = 0.0;
-    for (const double v : values) {
-        if (!(v > 0.0)) {
-            warn("geomean: skipping non-positive value ", v);
-            continue;
-        }
-        log_sum += std::log(v);
-        ++used;
-    }
-    if (used == 0)
-        return 0.0;
-    return std::exp(log_sum / static_cast<double>(used));
 }
 
 } // namespace libra

@@ -53,10 +53,8 @@ struct RunResult
     std::shared_ptr<TraceSink> trace;
 
     std::uint64_t totalCycles() const;
-    std::uint64_t totalRasterCycles() const;
     std::uint64_t totalGeomCycles() const;
     std::uint64_t dramAccesses() const;
-    std::uint64_t textureRequests() const;
     double avgTextureLatency() const;   //!< request-weighted
     double textureHitRatio() const;     //!< over all frames
     double avgDramReadLatency() const;  //!< read-weighted
@@ -159,9 +157,6 @@ Result<double> memoryTimeFraction(const BenchmarkSpec &spec,
 
 /** speedup of b over a: cycles(a)/cycles(b). */
 double speedup(const RunResult &a, const RunResult &b);
-
-/** Geometric mean of a positive series (paper-style averages). */
-double geomean(const std::vector<double> &values);
 
 } // namespace libra
 

@@ -252,9 +252,9 @@ runPolicyJob(PolicyRun &run, std::size_t index)
             job.config.faults = injector;
         }
         if (policy.deadlineMs != 0) {
-            auto token = std::make_shared<CancelToken>();
-            token->setDeadlineAfterMs(policy.deadlineMs);
-            job.config.watchdog.cancel = std::move(token);
+            job.config.watchdog.deadline =
+                std::chrono::steady_clock::now()
+                + std::chrono::milliseconds(policy.deadlineMs);
         }
 
         Result<RunResult> r = [&]() -> Result<RunResult> {
@@ -271,7 +271,7 @@ runPolicyJob(PolicyRun &run, std::size_t index)
             // Scrub the runtime attachments: the stored result must be
             // indistinguishable from a plain runBenchmark()'s.
             result.config.faults.reset();
-            result.config.watchdog.cancel.reset();
+            result.config.watchdog.deadline.reset();
             outcome.result = std::move(result);
             break;
         }
@@ -370,7 +370,7 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
         RunResult result = it->second->result;
         result.config = jobs[i].config; // the key proved them identical
         result.config.faults.reset();
-        result.config.watchdog.cancel.reset();
+        result.config.watchdog.deadline.reset();
         outcome.result = std::move(result);
         outcome.attempts = it->second->attempts;
         outcome.fromJournal = true;

@@ -137,7 +137,7 @@ struct CheckpointPolicy
 struct SweepPolicy
 {
     /** Wall-clock deadline per job *attempt* in milliseconds; 0 = none.
-     *  Enforced cooperatively via the Watchdog's CancelToken: the job
+     *  Enforced cooperatively via the Watchdog's deadline: the job
      *  aborts with DeadlineExceeded at its next event-loop poll. */
     std::uint64_t deadlineMs = 0;
 

@@ -20,7 +20,6 @@ TraceSink::lane(const std::string &name)
     auto l = std::make_unique<Lane>();
     l->laneName = name;
     l->tid = static_cast<std::uint32_t>(lanes.size());
-    l->enabledFlag = &recording;
     lanes.push_back(std::move(l));
     return *lanes.back();
 }
@@ -227,7 +226,6 @@ TraceSink::importState(SnapshotReader &r)
         auto l = std::make_unique<Lane>();
         l->laneName = r.takeString();
         l->tid = static_cast<std::uint32_t>(li);
-        l->enabledFlag = &recording;
         const std::uint64_t num_events = r.takeU64();
         for (std::uint64_t i = 0; r.ok() && i < num_events; ++i) {
             Event e;

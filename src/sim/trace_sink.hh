@@ -105,17 +105,10 @@ class TraceSink
       private:
         friend class TraceSink;
 
-        void
-        append(const Event &e)
-        {
-            if (!*enabledFlag)
-                return;
-            buf.push_back(e);
-        }
+        void append(const Event &e) { buf.push_back(e); }
 
         std::string laneName;
         std::uint32_t tid = 0;
-        const bool *enabledFlag = nullptr;
         std::vector<Event> buf;
     };
 
@@ -134,10 +127,6 @@ class TraceSink
 
     /** Intern @p name, returning its id (mutex-guarded; wire-up only). */
     std::uint32_t nameId(const std::string &name);
-
-    /** Recording switch; a disabled sink drops events at append. */
-    void setEnabled(bool on) { recording = on; }
-    bool enabled() const { return recording; }
 
     /** Total events currently buffered across all lanes. */
     std::size_t eventCount() const;
@@ -172,7 +161,6 @@ class TraceSink
     // vector growth.
     std::vector<std::unique_ptr<Lane>> lanes;
     std::vector<std::string> names;
-    bool recording = true;
 };
 
 /**

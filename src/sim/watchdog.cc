@@ -20,15 +20,12 @@ Watchdog::check(Tick now) const
                              "), last progress at tick ",
                              lastProgressTick);
     }
-    if (config.cancel && --cancelPollCountdown == 0) {
-        cancelPollCountdown = kCancelPollInterval;
-        if (config.cancel->expired()) {
-            return Status::error(
-                ErrorCode::DeadlineExceeded,
-                config.cancel->wasCancelled()
-                    ? "run cancelled"
-                    : "wall-clock deadline exceeded",
-                " at tick ", now);
+    if (config.deadline && --deadlinePollCountdown == 0) {
+        deadlinePollCountdown = kDeadlinePollInterval;
+        if (std::chrono::steady_clock::now() >= *config.deadline) {
+            return Status::error(ErrorCode::DeadlineExceeded,
+                                 "wall-clock deadline exceeded at tick ",
+                                 now);
         }
     }
     return Status::ok();

@@ -17,11 +17,10 @@
  *                      getting anywhere.
  *
  * A third, optional trigger extends the watchdog beyond simulated
- * cycles: a CancelToken carrying a *wall-clock* deadline and/or an
- * external cancellation flag. SweepRunner arms one per job so a sweep
- * can bound how long any single simulation may hold a worker thread
- * (cooperative cancellation: the simulation aborts at the next
- * event-loop check rather than being killed mid-update).
+ * cycles: a *wall-clock* deadline. SweepRunner arms one per job attempt
+ * so a sweep can bound how long any single simulation may hold a worker
+ * thread (cooperative: the simulation aborts at the next event-loop
+ * check rather than being killed mid-update).
  *
  * The watchdog itself is pure bookkeeping (two compares per check; the
  * wall clock is only sampled every few thousand checks), so callers can
@@ -31,65 +30,15 @@
 #ifndef LIBRA_SIM_WATCHDOG_HH
 #define LIBRA_SIM_WATCHDOG_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <optional>
 
 #include "common/status.hh"
 #include "common/types.hh"
 
 namespace libra
 {
-
-/**
- * Cooperative cancellation handle, shared between the party that wants
- * a run stopped (a sweep's retry/deadline machinery, a service shutting
- * down) and the Watchdog polling inside the simulation's event loop.
- * Thread-safe: cancel() may be called from any thread.
- */
-class CancelToken
-{
-  public:
-    /** Request cancellation; the run aborts at its next poll. */
-    void cancel() { cancelled.store(true, std::memory_order_relaxed); }
-
-    /** Arm a wall-clock deadline (absolute steady_clock time). */
-    void
-    setDeadline(std::chrono::steady_clock::time_point when)
-    {
-        deadlineAt = when;
-        hasDeadline = true;
-    }
-
-    /** Convenience: deadline @p ms milliseconds from now. */
-    void
-    setDeadlineAfterMs(std::uint64_t ms)
-    {
-        setDeadline(std::chrono::steady_clock::now()
-                    + std::chrono::milliseconds(ms));
-    }
-
-    /** True once cancelled or past the deadline. */
-    bool
-    expired() const
-    {
-        if (cancelled.load(std::memory_order_relaxed))
-            return true;
-        return hasDeadline
-            && std::chrono::steady_clock::now() >= deadlineAt;
-    }
-
-    bool wasCancelled() const
-    {
-        return cancelled.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<bool> cancelled{false};
-    std::chrono::steady_clock::time_point deadlineAt{};
-    bool hasDeadline = false; //!< set before the run starts, then const
-};
 
 /** Watchdog limits; 0 disables the corresponding trigger. */
 struct WatchdogConfig
@@ -98,13 +47,13 @@ struct WatchdogConfig
     std::uint64_t noProgressCycles = 0; //!< max cycles between marks
 
     /**
-     * Optional cooperative cancellation / wall-clock deadline. Not a
+     * Optional wall-clock deadline (absolute steady_clock time). Not a
      * property of the simulated machine: it never alters a single
      * statistic of a run that completes, only whether the run is
      * aborted early (DeadlineExceeded) — and is therefore excluded
      * from configHash().
      */
-    std::shared_ptr<CancelToken> cancel;
+    std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
 class Watchdog
@@ -125,24 +74,23 @@ class Watchdog
     /**
      * @return ok while within limits; WatchdogExpired once the cycle
      * budget is exceeded; NoProgress once the livelock limit is hit;
-     * DeadlineExceeded once the attached CancelToken is cancelled or
-     * past its wall-clock deadline. The token is only sampled every
-     * kCancelPollInterval checks — reading the host clock per simulated
-     * event would dominate the event loop.
+     * DeadlineExceeded once the wall-clock deadline has passed. The
+     * clock is only read every kDeadlinePollInterval checks — reading
+     * it per simulated event would dominate the event loop.
      */
     Status check(Tick now) const;
 
     Tick start() const { return startTick; }
     Tick lastProgress() const { return lastProgressTick; }
 
-    /** Checks between CancelToken samples (~µs of wall time apart). */
-    static constexpr std::uint32_t kCancelPollInterval = 4096;
+    /** Checks between deadline polls (~µs of wall time apart). */
+    static constexpr std::uint32_t kDeadlinePollInterval = 4096;
 
   private:
     WatchdogConfig config;
     Tick startTick;
     Tick lastProgressTick;
-    mutable std::uint32_t cancelPollCountdown = kCancelPollInterval;
+    mutable std::uint32_t deadlinePollCountdown = kDeadlinePollInterval;
 };
 
 } // namespace libra

@@ -332,19 +332,6 @@ TEST(Cache, PortArbitrationSerializesAccesses)
     }
 }
 
-TEST(Cache, HitRatioAccessor)
-{
-    EventQueue eq;
-    RecordingMemory mem(eq, 1);
-    Cache cache(eq, smallCache(), mem);
-    EXPECT_DOUBLE_EQ(cache.hitRatio(), 1.0); // vacuous
-    cache.access(MemReq{0, 64, false, TrafficClass::Texture, 0, nullptr});
-    eq.runUntil();
-    cache.access(MemReq{0, 64, false, TrafficClass::Texture, 0, nullptr});
-    eq.runUntil();
-    EXPECT_DOUBLE_EQ(cache.hitRatio(), 0.5);
-}
-
 /**
  * Property test: with accesses fully drained between requests, the
  * timing cache's hit/miss sequence must match a functional LRU

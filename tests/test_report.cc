@@ -103,24 +103,6 @@ TEST(Heatmap, PpmRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(Runner, GeomeanBasics)
-{
-    EXPECT_DOUBLE_EQ(geomean({4.0, 4.0}), 4.0);
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-}
-
-TEST(Runner, GeomeanSkipsNonPositiveValues)
-{
-    // A zero or negative sample (e.g. a skipped frame) must not abort
-    // the whole report: it is dropped with a warning and the mean is
-    // taken over the remaining values.
-    EXPECT_DOUBLE_EQ(geomean({4.0, 0.0, 4.0}), 4.0);
-    EXPECT_NEAR(geomean({-2.0, 1.0, 9.0}), 3.0, 1e-12);
-    EXPECT_DOUBLE_EQ(geomean({0.0}), 0.0);
-    EXPECT_DOUBLE_EQ(geomean({-1.0, 0.0}), 0.0);
-}
-
 TEST(Runner, SpeedupDefinition)
 {
     RunResult slow, fast;

@@ -198,21 +198,6 @@ TEST(TraceSink, ExportIsSortedAcrossLanes)
     EXPECT_EQ(ts, (std::vector<double>{5, 10, 20, 30}));
 }
 
-TEST(TraceSink, DisabledSinkDropsEvents)
-{
-    TraceSink sink;
-    TraceSink::Lane &a = sink.lane("a");
-    const std::uint32_t n = sink.nameId("x");
-    sink.setEnabled(false);
-    a.instant(n, 1);
-    a.begin(n, 2);
-    a.end(3);
-    EXPECT_EQ(sink.eventCount(), 0u);
-    sink.setEnabled(true);
-    a.instant(n, 4);
-    EXPECT_EQ(sink.eventCount(), 1u);
-}
-
 TEST(TraceSink, LanesAndNamesAreInterned)
 {
     TraceSink sink;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -57,6 +58,35 @@ TEST(Watchdog, NoProgressTripsAndProgressRearms)
     // progress() never moves the mark backwards.
     wd.progress(10);
     EXPECT_EQ(wd.lastProgress(), 40u);
+}
+
+TEST(Watchdog, PastDeadlineTripsOnlyAtThePoll)
+{
+    // The clock is read once per kDeadlinePollInterval checks, so even a
+    // deadline that has already passed goes unnoticed until that check.
+    static_assert(Watchdog::kDeadlinePollInterval == 4096);
+    WatchdogConfig cfg;
+    cfg.deadline = std::chrono::steady_clock::now() - std::chrono::hours(1);
+    const Watchdog wd(cfg, 0);
+    for (Tick t = 1; t < Watchdog::kDeadlinePollInterval; ++t)
+        ASSERT_TRUE(wd.check(t).isOk()) << "check " << t;
+    const Status st = wd.check(Watchdog::kDeadlinePollInterval);
+    ASSERT_FALSE(st.isOk());
+    EXPECT_EQ(st.code(), ErrorCode::DeadlineExceeded);
+    EXPECT_NE(st.message().find("wall-clock deadline exceeded at tick"),
+              std::string::npos)
+        << st.message();
+}
+
+TEST(Watchdog, FutureOrNoDeadlineNeverTrips)
+{
+    WatchdogConfig ahead;
+    ahead.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+    for (const WatchdogConfig &cfg : {ahead, WatchdogConfig{}}) {
+        const Watchdog wd(cfg, 0);
+        for (Tick t = 1; t <= 3 * Watchdog::kDeadlinePollInterval; ++t)
+            ASSERT_TRUE(wd.check(t).isOk()) << "check " << t;
+    }
 }
 
 TEST(Watchdog, DetectsEventQueueLivelock)
